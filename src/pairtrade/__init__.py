@@ -45,7 +45,6 @@ from .ingest import (
     apply_adjustments,
     load_csv,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .spread import (
     CointegrationSpread,
     DegenerateRegressorError,
@@ -86,7 +85,6 @@ __all__ = [
     "DegenerateRegressorError",
     "DomainError",
     "FormatError",
-    "KERNEL_BACKEND",
     "LedgerRow",
     "LemmaSummary",
     "LengthError",

@@ -27,7 +27,7 @@ from .estimation import (
     estimate_eta,
     estimate_gamma,
 )
-from .spread import SpreadModel, fit_cointegration, spread_value
+from .spread import DegenerateRegressorError, SpreadModel, fit_cointegration, spread_value
 from .trading import TradeDecision, allocate, step_account, threshold_approx, threshold_exact
 
 logger = logging.getLogger(__name__)
@@ -186,9 +186,11 @@ def run_backtest(
     fit_model selects the model family: it is called on each training window
     and must return a SpreadModel. Needs at least train_len + 2 observations.
     Windows where leverage * gamma_hat >= 1 (or gamma_hat >= 1) are ruled
-    untradeable and skipped with a warning; a window with constant log p1
-    raises DegenerateRegressorError from the default fitter. If the account
-    value ever drops to zero or below, trading halts for the rest of the run.
+    untradeable and skipped with a warning. So is a window whose fit raises
+    DegenerateRegressorError (constant log p1 under the default fitter): its
+    rows have NaN spread and estimates, an infinite threshold and no
+    position. If the account value ever drops to zero or below, trading
+    halts for the rest of the run.
     """
     if config is None:
         config = BacktestConfig()
@@ -212,22 +214,28 @@ def run_backtest(
     for k in range(n_train, total):
         if (k - n_train) % stride == 0:
             window = series.window(k - n_train, k)
-            model = fit_model(window)
-            est = _window_estimates(window, model, config)
-            window_tradeable = (
-                est.gamma_hat < 1.0 and config.leverage * est.gamma_hat < 1.0
-            )
-            if not window_tradeable:
-                logger.warning(
-                    "window ending at k=%d untradeable: gamma_hat=%.6g, "
-                    "leverage*gamma_hat=%.6g (both must be < 1)",
-                    k,
-                    est.gamma_hat,
-                    config.leverage * est.gamma_hat,
+            try:
+                model = fit_model(window)
+            except DegenerateRegressorError as exc:
+                model = est = None
+                window_tradeable = False
+                logger.warning("window ending at k=%d untradeable: %s", k, exc)
+            else:
+                est = _window_estimates(window, model, config)
+                window_tradeable = (
+                    est.gamma_hat < 1.0 and config.leverage * est.gamma_hat < 1.0
                 )
-        assert model is not None and est is not None
+                if not window_tradeable:
+                    logger.warning(
+                        "window ending at k=%d untradeable: gamma_hat=%.6g, "
+                        "leverage*gamma_hat=%.6g (both must be < 1)",
+                        k,
+                        est.gamma_hat,
+                        config.leverage * est.gamma_hat,
+                    )
         point = series.point(k)
-        spread = spread_value(model, point)
+        # without a fitted model the spread is NaN, which never exceeds tau = inf
+        spread = math.nan if model is None else spread_value(model, point)
         if window_tradeable and est.tradeable:
             if config.threshold_mode == "exact":
                 tau = threshold_exact(model, point, est.gamma_hat, est.eta_hat)
@@ -250,10 +258,10 @@ def run_backtest(
                 p2=point.p2,
                 spread=spread,
                 threshold=tau,
-                beta=est.beta_hat,
-                mu=est.mu_hat,
-                gamma=est.gamma_hat,
-                eta=est.eta_hat,
+                beta=est.beta_hat if est is not None else math.nan,
+                mu=est.mu_hat if est is not None else math.nan,
+                gamma=est.gamma_hat if est is not None else math.nan,
+                eta=est.eta_hat if est is not None else math.nan,
                 n1=decision.holdings[0],
                 n2=decision.holdings[1],
                 value=value,

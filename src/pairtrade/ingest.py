@@ -57,8 +57,11 @@ class AdjustmentRule:
 
 
 def load_csv(path) -> PriceSeries:
-    """Parse a price CSV; raises FormatError / RowError / OrderingError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Parse a price CSV; raises FormatError / RowError / OrderingError.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write it, is skipped.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import kernels
 from .domain import DomainError, LengthError, PricePoint, PriceSeries
@@ -30,6 +29,9 @@ from .spread import CointegrationSpread, spread_gradient
 from .trading import threshold_approx, threshold_exact
 
 THRESHOLD_MODES = ("approx", "exact")
+# trials simulated side by side; bounds the block arrays of verify_theorem
+# (each (periods, CHUNK_TRIALS) array is 2 MB at 250 periods)
+CHUNK_TRIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -155,15 +157,21 @@ def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def _simulate(spec: OUPairSpec, length: int, rng: np.random.Generator):
-    """One path. Returns (s, w, p1, p2) arrays of the given length."""
-    uv = rng.uniform(-1.0, 1.0, size=(2, length - 1))
+def _simulate(spec: OUPairSpec, length: int, rngs) -> tuple[np.ndarray, ...]:
+    """One path per generator, side by side.
+
+    Generator j draws its own (2, length - 1) uniform block, so a path does
+    not depend on which others share its block. Returns the spread and both
+    prices, (s, p1, p2), each of shape (length, len(rngs)).
+    """
+    draws = np.array([rng.uniform(-1.0, 1.0, size=(2, length - 1)) for rng in rngs])
+    u, v = np.ascontiguousarray(draws.transpose(1, 2, 0))
     s, w = kernels.ou_recursion(
-        uv[0], uv[1], spec.theta, spec.sigma_s, spec.sigma_w, spec.s0, math.log(spec.p0.p1)
+        u, v, spec.theta, spec.sigma_s, spec.sigma_w, spec.s0, math.log(spec.p0.p1)
     )
     p1 = np.exp(w)
     p2 = np.exp(spec.beta_true * w + (spec.mu_true + s))
-    return s, w, p1, p2
+    return s, p1, p2
 
 
 def generate_pair(spec: OUPairSpec, length: int) -> PriceSeries:
@@ -171,9 +179,9 @@ def generate_pair(spec: OUPairSpec, length: int) -> PriceSeries:
     if length < 2:
         raise LengthError(f"length must be at least 2, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    _, _, p1, p2 = _simulate(spec, length, rng)
+    _, p1, p2 = _simulate(spec, length, [rng])
     dates = tuple(f"{k:08d}" for k in range(length))
-    return PriceSeries(dates, p1, p2)
+    return PriceSeries(dates, p1[:, 0], p2[:, 0])
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,10 @@ def _one_sided_p(count: int, total: float, totsq: float) -> tuple[float | None, 
     if var <= 0.0:
         return mean, (0.0 if mean > 0.0 else 1.0)
     t_stat = mean / math.sqrt(var / count)
-    return mean, float(stats.t.sf(t_stat, count - 1))
+    # imported on first use: scipy at module level (scipy.stats ~1 s) slows every CLI start
+    from scipy.special import stdtr
+
+    return mean, float(stdtr(count - 1, -t_stat))
 
 
 def verify_theorem(
@@ -238,7 +249,8 @@ def verify_theorem(
     reversion rate of this generator) and gamma_assumed to gamma_cap. Both
     threshold variants are price-independent for the log-linear family, so
     they are evaluated once at p0. Per-event profits are pooled across trials
-    and tested one-sided against mean <= 0.
+    and tested one-sided against mean <= 0. Trials are simulated
+    CHUNK_TRIALS at a time, each from its own trial_generators stream.
     """
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
@@ -254,8 +266,6 @@ def verify_theorem(
     tau_a = threshold_approx(model, spec.p0, gamma, eta)
     tau = tau_a if mode == "approx" else tau_e
 
-    dv_buf = np.empty(periods)
-    sabs_buf = np.empty(periods)
     count = 0
     total = 0.0
     totsq = 0.0
@@ -267,20 +277,17 @@ def verify_theorem(
         bin_sums = np.zeros(collect_bins)
         bin_counts = np.zeros(collect_bins, dtype=np.int64)
 
-    for rng in trial_generators(spec.seed, trials):
-        s, _, p1, p2 = _simulate(spec, periods, rng)
-        n_ev, _ = kernels.trade_scan(
-            p1, p2, s, spec.beta_true, tau, leverage, initial_value, dv_buf, sabs_buf
-        )
-        if n_ev:
-            dv = dv_buf[:n_ev]
-            count += n_ev
-            total += float(np.sum(dv))
-            totsq += float(np.dot(dv, dv))
-            if use_bins:
-                idx = np.clip(np.digitize(sabs_buf[:n_ev], edges) - 1, 0, collect_bins - 1)
-                bin_sums += np.bincount(idx, weights=dv, minlength=collect_bins)
-                bin_counts += np.bincount(idx, minlength=collect_bins)
+    rngs = trial_generators(spec.seed, trials)
+    for start in range(0, trials, CHUNK_TRIALS):
+        s, p1, p2 = _simulate(spec, periods, rngs[start : start + CHUNK_TRIALS])
+        dv, sabs = kernels.trade_scan(p1, p2, s, spec.beta_true, tau, leverage, initial_value)
+        count += dv.size
+        total += float(np.sum(dv))
+        totsq += float(np.dot(dv, dv))
+        if use_bins:
+            idx = np.clip(np.digitize(sabs, edges) - 1, 0, collect_bins - 1)
+            bin_sums += np.bincount(idx, weights=dv, minlength=collect_bins)
+            bin_counts += np.bincount(idx, minlength=collect_bins)
 
     mean, p_value = _one_sided_p(count, total, totsq)
     bins_kw = {}

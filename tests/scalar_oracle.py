@@ -1,0 +1,149 @@
+"""Scalar reference for the Monte Carlo simulation: one path, one period at a time.
+
+These are the per-trial loops the package ran before its kernels became
+time-major numpy blocks. Tests compare the package against them: the same
+per-trial streams must give the same paths and trade events, with pooled
+sums equal up to summation order.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import stats
+
+from pairtrade.spread import CointegrationSpread
+from pairtrade.trading import threshold_approx, threshold_exact
+
+
+def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
+    """Drive the spread and log-price recursions with innovation arrays.
+
+        s(k+1) = (1 - theta) s(k) + sigma_s u(k)
+        w(k+1) = w(k) + sigma_w v(k)
+
+    Returns (s, w) of length len(u) + 1 including the initial state.
+    """
+    n = len(u)
+    ul = u.tolist()
+    vl = v.tolist()
+    s = np.empty(n + 1)
+    w = np.empty(n + 1)
+    one_minus_theta = 1.0 - theta
+    sk = s0
+    wk = w0
+    s[0] = sk
+    w[0] = wk
+    for k in range(n):
+        sk = one_minus_theta * sk + sigma_s * ul[k]
+        wk = wk + sigma_w * vl[k]
+        s[k + 1] = sk
+        w[k + 1] = wk
+    return s, w
+
+
+def trade_scan(p1, p2, s, beta, tau, leverage, v0):
+    """Run the fully-invested threshold rule down one price path.
+
+    Returns (dv, sabs, v_final): the profit and |spread| of every traded
+    period, and the account value after the last one. The last period is
+    never traded: its profit would need period n.
+    """
+    n = len(p1)
+    p1l = p1.tolist()
+    p2l = p2.tolist()
+    sl = s.tolist()
+    v = v0
+    dv_out, sabs_out = [], []
+    for k in range(n - 1):
+        sk = sl[k]
+        if abs(sk) > tau:
+            p1k = p1l[k]
+            p2k = p2l[k]
+            g1 = -beta / p1k
+            g2 = 1.0 / p2k
+            lam = leverage * v / (abs(g1) * p1k + abs(g2) * p2k)
+            sgn = 1.0 if sk > 0.0 else -1.0
+            n1 = -lam * sgn * g1
+            n2 = -lam * sgn * g2
+            dv = n1 * (p1l[k + 1] - p1k) + n2 * (p2l[k + 1] - p2k)
+            v = v + dv
+            dv_out.append(dv)
+            sabs_out.append(abs(sk))
+    return np.array(dv_out), np.array(sabs_out), v
+
+
+def simulate(spec, length, rng):
+    """One path from one generator: (s, w, p1, p2), each of the given length."""
+    uv = rng.uniform(-1.0, 1.0, size=(2, length - 1))
+    s, w = ou_recursion(
+        uv[0], uv[1], spec.theta, spec.sigma_s, spec.sigma_w, spec.s0, math.log(spec.p0.p1)
+    )
+    p1 = np.exp(w)
+    p2 = np.exp(spec.beta_true * w + (spec.mu_true + s))
+    return s, w, p1, p2
+
+
+def generate_pair_arrays(spec, length):
+    """(p1, p2) of generate_pair(spec, length)."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    _, _, p1, p2 = simulate(spec, length, rng)
+    return p1, p2
+
+
+def verify_theorem(spec, trials, periods, eta_assumed=None, gamma_assumed=None, mode="approx",
+                   leverage=1.0, initial_value=10_000.0, collect_bins=0):
+    """Trial-by-trial Monte Carlo: a dict with the TheoremSummary fields it checks.
+
+    Events are pooled trial after trial; trade_events, the event profits
+    (`dv`, in that order) and bin_counts are exact, the means and the
+    p-value carry the summation order of this loop.
+    """
+    eta = spec.theta if eta_assumed is None else eta_assumed
+    gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
+    model = CointegrationSpread(spec.beta_true, spec.mu_true)
+    if mode == "approx":
+        tau = threshold_approx(model, spec.p0, gamma, eta)
+    else:
+        tau = threshold_exact(model, spec.p0, gamma, eta)
+
+    events = []
+    count, total, totsq = 0, 0.0, 0.0
+    use_bins = collect_bins > 0 and math.isfinite(tau)
+    if use_bins:
+        edges = np.linspace(tau, max(spec.spread_bound, tau * (1.0 + 1e-9)), collect_bins + 1)
+        bin_sums = np.zeros(collect_bins)
+        bin_counts = np.zeros(collect_bins, dtype=np.int64)
+    for child in np.random.SeedSequence(spec.seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        s, _, p1, p2 = simulate(spec, periods, rng)
+        dv, sabs, _ = trade_scan(p1, p2, s, spec.beta_true, tau, leverage, initial_value)
+        events.append(dv)
+        if dv.size:
+            count += dv.size
+            total += float(np.sum(dv))
+            totsq += float(np.dot(dv, dv))
+            if use_bins:
+                idx = np.clip(np.digitize(sabs, edges) - 1, 0, collect_bins - 1)
+                bin_sums += np.bincount(idx, weights=dv, minlength=collect_bins)
+                bin_counts += np.bincount(idx, minlength=collect_bins)
+
+    out = {"tau": tau, "trade_events": count, "dv": np.concatenate(events),
+           "mean_dv": None, "p_value": None}
+    if count:
+        mean = total / count
+        out["mean_dv"] = mean
+        if count > 1:
+            var = (totsq - count * mean * mean) / (count - 1)
+            if var <= 0.0:
+                out["p_value"] = 0.0 if mean > 0.0 else 1.0
+            else:
+                out["p_value"] = float(stats.t.sf(mean / math.sqrt(var / count), count - 1))
+    if use_bins:
+        out["bin_counts"] = tuple(int(c) for c in bin_counts)
+        out["bin_mean_dv"] = tuple(
+            float(bin_sums[i] / bin_counts[i]) if bin_counts[i] else math.nan
+            for i in range(collect_bins)
+        )
+    return out

@@ -198,7 +198,31 @@ def _fit_trend(window):
     return _TrendModel(float(np.min(np.log(window.p1))) - 1.0)
 
 
+def flat_p1_series():
+    # 300 rows whose p1 stands still over rows 100-159: the training windows
+    # that end at k = 140 .. 160 see a constant log p1
+    base = synthetic_series(seed=4, length=300)
+    p1 = base.p1.copy()
+    p1[100:160] = p1[100]
+    return make_series(p1, base.p2)
+
+
 class TestDegenerateConditions:
+    def test_constant_p1_window_untradeable(self, caplog):
+        with caplog.at_level("WARNING", logger="pairtrade.backtest"):
+            rows, report = run_backtest(flat_p1_series())
+        degenerate = [r for r in rows if 140 <= r.k < 165]
+        assert all(math.isnan(r.spread) and math.isnan(r.beta) and math.isnan(r.mu)
+                   for r in degenerate)
+        assert all(r.threshold == math.inf and not r.active for r in degenerate)
+        assert all(r.n1 == 0.0 and r.n2 == 0.0 for r in degenerate)
+        assert not any(math.isnan(r.spread) for r in rows if not 140 <= r.k < 165)
+        # one warning per degenerate window
+        assert len([m for m in caplog.messages if "log p1 is constant" in m]) == 5
+        assert any(r.active for r in rows if r.k < 140)
+        assert any(r.active for r in rows if r.k >= 165)
+        assert math.isfinite(report.final_value)
+
     def test_negative_eta_means_no_trades(self):
         # strictly growing p1 with the trend family: every window sees a
         # positive, rising spread, so eta_hat < 0, tau = +inf, no positions

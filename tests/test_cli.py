@@ -113,6 +113,22 @@ class TestBacktestCommand:
         assert rc == 1
         capsys.readouterr()
 
+    def test_constant_p1_window_does_not_abort(self, prices_csv, tmp_path, capsys):
+        # p1 flat over rows 100-159 leaves some training windows without a fit
+        lines = prices_csv.read_text().splitlines()
+        flat = lines[101].split(",")[1]
+        for i in range(101, 161):
+            date, _, p2 = lines[i].split(",")
+            lines[i] = f"{date},{flat},{p2}"
+        path = tmp_path / "flat.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["backtest", "--input", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        ledger = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
+        active = {int(row.split(",")[0]) for row in ledger if row.endswith(",1")}
+        assert any(k < 140 for k in active) and any(k >= 165 for k in active)
+        assert not any(140 <= k < 165 for k in active)
+
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,p1,p2\n2020-01-02,100,50\n2020-01-03,oops,49\n")

@@ -33,6 +33,15 @@ class TestLoadCsv:
         assert series.p1.tolist() == [100.5, 101.0]
         assert series.p2.tolist() == [50.25, 49.0]
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet exports start the file with a UTF-8 byte-order mark
+        path = tmp_path / "prices.csv"
+        path.write_text(HEADER + "2020-01-02,100.5,50.25\n2020-01-03,101,49\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfdate,p1,p2")
+        series = load_csv(path)
+        assert series.dates == ("2020-01-02", "2020-01-03")
+        assert series.p1.tolist() == [100.5, 101.0]
+
     def test_blank_lines_ignored(self, tmp_path):
         path = write(tmp_path, "2020-01-02,1,2\n\n2020-01-03,3,4\n\n")
         assert len(load_csv(path)) == 2

@@ -1,26 +1,16 @@
-"""Kernel backend selection and bit-identical equivalence.
+"""Time-major kernels: recursion semantics and the threshold rule.
 
-Both kernel implementations must agree bit-for-bit: the compiled extension
-is built without FP contraction and mirrors the fallback operation for
-operation, so any difference at all is a bug, not noise.
+Blocks are (periods, paths); the scalar one-path loops in scalar_oracle.py
+are the reference, and a path's doubles must equal the loop's exactly.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from pairtrade import _kernels_py, kernels
-
-try:
-    from pairtrade import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled kernels not built")
+import scalar_oracle
+from pairtrade import kernels
 
 
 def _inputs(n=5_000, seed=123):
@@ -30,108 +20,94 @@ def _inputs(n=5_000, seed=123):
     return u, v
 
 
-class TestBackendSelection:
-    def test_backend_named(self):
-        assert kernels.BACKEND in ("cython", "python")
-
-    def test_env_override_forces_python(self):
-        code = (
-            "import pairtrade.kernels as k; print(k.BACKEND)"
-        )
-        env = dict(os.environ, PAIRTRADE_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "python"
+def _block(n=2_000, paths=3, seed=9):
+    """(p1, p2, s) blocks of `paths` independent paths of length n + 1."""
+    draws = [_inputs(n, seed + j) for j in range(paths)]
+    u = np.column_stack([d[0] for d in draws])
+    v = np.column_stack([d[1] for d in draws])
+    s, w = kernels.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.0, math.log(100.0))
+    return np.exp(w), np.exp(2.0 * w + s), s
 
 
 class TestOuRecursion:
     def test_semantics(self):
-        # hand-check the first two steps of the recursion
-        u = np.array([1.0, -0.5])
-        v = np.array([0.25, 0.25])
+        # hand-check the first two steps of the recursion on a one-path block
+        u = np.array([[1.0], [-0.5]])
+        v = np.array([[0.25], [0.25]])
         s, w = kernels.ou_recursion(u, v, 0.3, 0.01, 0.005, 0.1, 2.0)
-        assert s[0] == 0.1 and w[0] == 2.0
-        assert s[1] == pytest.approx(0.7 * 0.1 + 0.01, rel=1e-15)
-        assert w[1] == pytest.approx(2.0 + 0.005 * 0.25, rel=1e-15)
-        assert s[2] == pytest.approx(0.7 * s[1] - 0.005, rel=1e-15)
-        assert len(s) == 3 and len(w) == 3
+        assert s.shape == w.shape == (3, 1)
+        assert s[0, 0] == 0.1 and w[0, 0] == 2.0
+        assert s[1, 0] == pytest.approx(0.7 * 0.1 + 0.01, rel=1e-15)
+        assert w[1, 0] == pytest.approx(2.0 + 0.005 * 0.25, rel=1e-15)
+        assert s[2, 0] == pytest.approx(0.7 * s[1, 0] - 0.005, rel=1e-15)
 
-    @needs_compiled
-    def test_backends_bit_identical(self):
-        u, v = _inputs()
-        a_s, a_w = _compiled.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.02, math.log(100.0))
-        b_s, b_w = _kernels_py.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.02, math.log(100.0))
-        assert np.array_equal(a_s, b_s)
-        assert np.array_equal(a_w, b_w)
+    def test_paths_equal_scalar_loop(self):
+        u = np.column_stack([_inputs(3_000, seed)[0] for seed in (1, 2, 3)])
+        v = np.column_stack([_inputs(3_000, seed)[1] for seed in (1, 2, 3)])
+        s, w = kernels.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.02, math.log(100.0))
+        for j in range(3):
+            ref_s, ref_w = scalar_oracle.ou_recursion(
+                u[:, j], v[:, j], 0.3, 0.012, 0.005, 0.02, math.log(100.0)
+            )
+            assert np.array_equal(s[:, j], ref_s)
+            assert np.array_equal(w[:, j], ref_w)
 
 
 class TestTradeScan:
-    @staticmethod
-    def _path(n=2_000, seed=9):
-        u, v = _inputs(n, seed)
-        s, w = _kernels_py.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.0, math.log(100.0))
-        p1 = np.exp(w)
-        p2 = np.exp(2.0 * w + s)
-        return p1, p2, s
-
     def test_matches_reference_loop(self):
         # independent reimplementation with the allocation primitives
         from pairtrade.domain import PricePoint
         from pairtrade.spread import CointegrationSpread
         from pairtrade.trading import allocate, step_account
 
-        p1, p2, s = self._path(300)
+        p1, p2, s = _block(300, paths=2)
         tau, lev, v0 = 0.00625, 1.0, 10_000.0
-        dv_out = np.empty(len(p1))
-        sabs_out = np.empty(len(p1))
-        n_ev, v_fin = kernels.trade_scan(p1, p2, s, 2.0, tau, lev, v0, dv_out, sabs_out)
+        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, tau, lev, v0)
 
         model = CointegrationSpread(2.0, 0.0)
-        value = v0
-        expect_dv = []
-        for k in range(len(p1) - 1):
-            point = PricePoint(float(p1[k]), float(p2[k]))
-            dec = allocate(model, point, float(s[k]), tau, value, lev)
-            if dec.active:
-                dv = step_account(
-                    dec.holdings, (float(p1[k + 1]) - point.p1, float(p2[k + 1]) - point.p2)
-                )
-                expect_dv.append(dv)
-                value += dv
-        assert n_ev == len(expect_dv)
-        assert v_fin == pytest.approx(value, rel=1e-12)
-        np.testing.assert_allclose(dv_out[:n_ev], expect_dv, rtol=1e-12)
+        expect_dv, expect_sabs, finals = [], [], []
+        for j in range(p1.shape[1]):
+            value = v0
+            for k in range(len(p1) - 1):
+                point = PricePoint(float(p1[k, j]), float(p2[k, j]))
+                dec = allocate(model, point, float(s[k, j]), tau, value, lev)
+                if dec.active:
+                    step = step_account(
+                        dec.holdings,
+                        (float(p1[k + 1, j]) - point.p1, float(p2[k + 1, j]) - point.p2),
+                    )
+                    expect_dv.append(step)
+                    expect_sabs.append(abs(float(s[k, j])))
+                    value += step
+            finals.append(value)
+        assert len(dv) == len(sabs) == len(expect_dv)
+        np.testing.assert_allclose(dv, expect_dv, rtol=1e-12)
+        assert np.array_equal(sabs, expect_sabs)
+        first = len(dv) - np.count_nonzero(np.abs(s[:-1, 1]) > tau)
+        assert v0 + np.sum(dv[:first]) == pytest.approx(finals[0], rel=1e-12)
+        assert v0 + np.sum(dv[first:]) == pytest.approx(finals[1], rel=1e-12)
+
+    @pytest.mark.parametrize("tau, leverage", [(0.00625, 1.0), (0.02, 2.5), (0.0, 0.5)])
+    def test_paths_equal_scalar_loop(self, tau, leverage):
+        p1, p2, s = _block(1_000, paths=4)
+        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, tau, leverage, 10_000.0)
+        refs = [
+            scalar_oracle.trade_scan(p1[:, j], p2[:, j], s[:, j], 2.0, tau, leverage, 10_000.0)
+            for j in range(4)
+        ]
+        assert np.array_equal(dv, np.concatenate([r[0] for r in refs]))
+        assert np.array_equal(sabs, np.concatenate([r[1] for r in refs]))
 
     def test_infinite_tau_never_trades(self):
-        p1, p2, s = self._path(500)
-        dv_out = np.empty(len(p1))
-        sabs_out = np.empty(len(p1))
-        n_ev, v_fin = kernels.trade_scan(p1, p2, s, 2.0, math.inf, 1.0, 10_000.0, dv_out, sabs_out)
-        assert n_ev == 0
-        assert v_fin == 10_000.0
+        p1, p2, s = _block(500)
+        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, math.inf, 1.0, 10_000.0)
+        assert dv.size == 0 and sabs.size == 0
 
     def test_last_period_not_traded(self):
         # two periods: only period 0 can realize a profit
-        p1 = np.array([100.0, 101.0])
-        p2 = np.array([50.0, 49.0])
-        s = np.array([1.0, 1.0])
-        dv_out = np.empty(2)
-        sabs_out = np.empty(2)
-        n_ev, _ = kernels.trade_scan(p1, p2, s, 2.0, 0.1, 1.0, 10_000.0, dv_out, sabs_out)
-        assert n_ev == 1
-
-    @needs_compiled
-    def test_backends_bit_identical(self):
-        p1, p2, s = self._path()
-        for tau in (0.00625, 0.02, math.inf):
-            out = []
-            for impl in (_compiled, _kernels_py):
-                dv_out = np.zeros(len(p1))
-                sabs_out = np.zeros(len(p1))
-                n_ev, v_fin = impl.trade_scan(p1, p2, s, 2.0, tau, 1.0, 10_000.0, dv_out, sabs_out)
-                out.append((n_ev, v_fin, dv_out.copy(), sabs_out.copy()))
-            assert out[0][0] == out[1][0]
-            assert out[0][1] == out[1][1]
-            assert np.array_equal(out[0][2], out[1][2])
-            assert np.array_equal(out[0][3], out[1][3])
+        p1 = np.array([[100.0], [101.0]])
+        p2 = np.array([[50.0], [49.0]])
+        s = np.array([[1.0], [1.0]])
+        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, 0.1, 1.0, 10_000.0)
+        assert dv.size == 1
+        assert sabs[0] == 1.0

@@ -9,6 +9,10 @@ The generator's laws checked here:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from pairtrade.estimation import estimate_eta
 from pairtrade.spread import CointegrationSpread
 from pairtrade.synthetic import (
     OUPairSpec,
+    _one_sided_p,
     generate_pair,
     trial_generators,
     verify_lemma,
@@ -205,6 +210,38 @@ class TestVerifyTheorem:
     def test_trials_domain(self):
         with pytest.raises(DomainError):
             verify_theorem(make_spec(), trials=0)
+
+
+class TestOneSidedP:
+    @pytest.mark.parametrize("count", [2, 3, 7, 30, 251, 10_000, 1_342_195])
+    @pytest.mark.parametrize("t_stat", [-4.0, -0.3, 0.02, 1.0, 2.5, 8.0])
+    def test_matches_scipy_t_sf(self, count, t_stat):
+        stats = pytest.importorskip("scipy.stats")
+        # running sums of `count` draws with mean +-1 and the variance giving t_stat
+        mean = 1.0 if t_stat > 0 else -1.0
+        var = count * (mean / t_stat) ** 2
+        total = count * mean
+        totsq = var * (count - 1) + count * mean * mean
+        got_mean, p = _one_sided_p(count, total, totsq)
+        m = total / count
+        t = m / math.sqrt((totsq - count * m * m) / (count - 1) / count)
+        assert got_mean == m
+        assert p == float(stats.t.sf(t, count - 1))
+
+    def test_degenerate_counts(self):
+        assert _one_sided_p(0, 0.0, 0.0) == (None, None)
+        assert _one_sided_p(1, 2.0, 4.0) == (2.0, None)
+        assert _one_sided_p(3, 6.0, 12.0) == (2.0, 0.0)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy loads only when a p-value is computed, never at CLI start-up
+    code = "import sys, pairtrade.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerifyLemma:
