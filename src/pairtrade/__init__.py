@@ -19,14 +19,10 @@ from .backtest import (
     write_report_json,
 )
 from .domain import (
-    AccountState,
-    BoxBounds,
     DomainError,
     LengthError,
     PricePoint,
     PriceSeries,
-    ReturnPair,
-    compute_returns,
     return_arrays,
 )
 from .estimation import (
@@ -75,11 +71,9 @@ from .trading import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccountState",
     "AdjustmentRule",
     "BacktestConfig",
     "BacktestReport",
-    "BoxBounds",
     "CointegrationSpread",
     "DEFAULT_GAMMA_FLOOR",
     "DegenerateRegressorError",
@@ -92,7 +86,6 @@ __all__ = [
     "OUPairSpec",
     "PricePoint",
     "PriceSeries",
-    "ReturnPair",
     "RowError",
     "SpreadModel",
     "StationaryPointError",
@@ -103,7 +96,6 @@ __all__ = [
     "allocate",
     "apply_adjustments",
     "buy_and_hold",
-    "compute_returns",
     "estimate_eta",
     "estimate_gamma",
     "fit_cointegration",

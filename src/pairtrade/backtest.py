@@ -28,11 +28,16 @@ from .estimation import (
     estimate_gamma,
 )
 from .spread import DegenerateRegressorError, SpreadModel, fit_cointegration, spread_value
-from .trading import TradeDecision, allocate, step_account, threshold_approx, threshold_exact
+from .trading import (
+    THRESHOLD_MODES,
+    TradeDecision,
+    allocate,
+    step_account,
+    threshold_approx,
+    threshold_exact,
+)
 
 logger = logging.getLogger(__name__)
-
-THRESHOLD_MODES = ("approx", "exact")
 
 LEDGER_COLUMNS = (
     "k",

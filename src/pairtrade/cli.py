@@ -22,7 +22,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -36,15 +36,20 @@ from .backtest import (
 from .domain import DomainError, PricePoint
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig
 from .ingest import AdjustmentRule, apply_adjustments, load_csv
-from .synthetic import THRESHOLD_MODES, OUPairSpec, verify_lemma, verify_theorem
+from .synthetic import OUPairSpec, verify_lemma, verify_theorem
+from .trading import THRESHOLD_MODES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-class UsageError(Exception):
-    """Invalid flags or config values; maps to exit 1."""
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid flags or config values; maps to exit 1.
+
+    Raised from a flag's type function, argparse reports it with the flag's
+    name in front.
+    """
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,45 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# ---------------------------------------------------------------------------
-# config file parsing and per-key coercion
-
-
-def _coerce_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: expected an integer, got {text!r}") from None
-
-
-def _coerce_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: expected a number, got {text!r}") from None
-
-
-def _coerce_str(key: str, text: str) -> str:
-    return text
-
-
-def _coerce_bool(key: str, text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise UsageError(f"config key {key!r}: expected a boolean, got {text!r}")
-
-
 def _parse_adjustment(text: str) -> AdjustmentRule:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"adjustment must be stock:index:factor, got {text!r}")
     try:
-        stock = int(parts[0])
-        index = int(parts[1])
-        factor = float(parts[2])
+        stock, index, factor = text.split(":")
+        stock, index, factor = int(stock), int(index), float(factor)
     except ValueError:
         raise UsageError(f"adjustment must be stock:index:factor, got {text!r}") from None
     try:
@@ -99,80 +69,116 @@ def _parse_adjustment(text: str) -> AdjustmentRule:
         raise UsageError(f"adjustment {text!r}: {exc}") from None
 
 
-def _coerce_adjust(key: str, text: str) -> list[AdjustmentRule]:
-    return [_parse_adjustment(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def _coerce_p0(key: str, text: str) -> list[float]:
-    parts = [tok for tok in text.replace(",", " ").split() if tok]
-    if len(parts) != 2:
-        raise UsageError(f"config key {key!r}: expected two numbers, got {text!r}")
-    return [_coerce_float(key, parts[0]), _coerce_float(key, parts[1])]
-
-
-def _adjust_flag(text: str) -> AdjustmentRule:
-    try:
-        return _parse_adjustment(text)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# ---------------------------------------------------------------------------
+# the key table: one row per setting of a subcommand
 
 
 @dataclass(frozen=True)
-class _Key:
-    coerce: Callable[[str, str], object]
+class Key:
+    """One setting: config-file key `name`, flag `--name-with-dashes`.
+
+    `type` parses one flag token or config value; a bool key `emit_X` is the
+    switch `--no-X`. `flag` holds argparse extras: `nargs` makes a flag take
+    that many tokens (a config value lists them split by commas or spaces),
+    and `action="append"` makes it repeatable (a comma-separated config list).
+    """
+
+    name: str
+    type: Callable[[str], object]
     default: object
+    help: str
+    flag: dict = field(default_factory=dict)
 
 
-_COMMON_MC_LEMMA = {
-    "seed": _Key(_coerce_int, 0),
-    "out_dir": _Key(_coerce_str, None),
+_SEED = Key("seed", int, 0, "RNG seed")
+_BETA = Key("beta", float, 2.0, "cointegration slope")
+_MU = Key("mu", float, 0.0, "cointegration level")
+_LEVERAGE = Key("leverage", float, 1.0, "leverage factor L")
+_INITIAL_VALUE = Key("initial_value", float, 10_000.0, "starting account value")
+_THRESHOLD_MODE = Key(
+    "threshold_mode", str, "approx", "threshold variant", dict(choices=THRESHOLD_MODES)
+)
+
+KEYS: dict[str, tuple[Key, ...]] = {
+    "backtest": (
+        Key("input", str, None, "price CSV with header date,p1,p2", dict(metavar="PATH")),
+        Key("out_dir", str, ".", "output directory", dict(metavar="DIR")),
+        Key(
+            "adjust",
+            _parse_adjustment,
+            (),
+            "price correction rule, repeatable; scales STOCK before INDEX by FACTOR",
+            dict(metavar="STOCK:INDEX:FACTOR", action="append"),
+        ),
+        Key("train_len", int, 40, "training window length", dict(metavar="N")),
+        Key("trade_len", int, 5, "trading window length", dict(metavar="M")),
+        _LEVERAGE,
+        _INITIAL_VALUE,
+        _THRESHOLD_MODE,
+        Key("gamma", float, None, "fixed gamma override instead of the window estimate"),
+        Key("gamma_floor", float, DEFAULT_GAMMA_FLOOR, "gamma floor for flat windows"),
+        Key("emit_ledger", bool, True, "skip ledger.csv"),
+        Key("emit_report", bool, True, "skip report.json"),
+        Key("emit_plot", bool, True, "skip plot.csv"),
+    ),
+    "montecarlo": (
+        Key("out_dir", str, None, "also write montecarlo.json here", dict(metavar="DIR")),
+        Key("trials", int, 10_000, "number of independent trials"),
+        Key("periods", int, 250, "periods per trial"),
+        Key("theta", float, 0.3, "true reversion rate in (0,1)"),
+        Key("sigma_s", float, 0.012, "spread innovation scale"),
+        Key("sigma_w", float, 0.005, "log-price step scale"),
+        _BETA,
+        _MU,
+        Key("gamma_cap", float, 0.05, "hard per-period return cap"),
+        Key("s0", float, 0.0, "initial spread"),
+        Key("p0", float, (100.0, 50.0), "initial prices", dict(nargs=2, metavar=("P1", "P2"))),
+        Key("eta", float, 0.2, "assumed reversion rate for the threshold"),
+        Key("gamma", float, None, "assumed return bound (default: gamma-cap)"),
+        _THRESHOLD_MODE,
+        _LEVERAGE,
+        _INITIAL_VALUE,
+        Key("bins", int, 0, "spread bins for the stderr diagnostic"),
+        _SEED,
+    ),
+    "verify-lemma": (
+        Key("out_dir", str, None, "also write verify_lemma.json here", dict(metavar="DIR")),
+        Key("samples", int, 10_000, "number of sampled points"),
+        _BETA,
+        _MU,
+        Key("gamma", float, 0.05, "box half-width in (0,1)"),
+        Key("band", float, 1.0, "log-uniform price band half-width"),
+        Key("p0", float, (100.0, 50.0), "band center prices", dict(nargs=2, metavar=("P1", "P2"))),
+        _SEED,
+    ),
 }
 
-SCHEMAS: dict[str, dict[str, _Key]] = {
-    "backtest": {
-        "input": _Key(_coerce_str, None),
-        "out_dir": _Key(_coerce_str, "."),
-        "adjust": _Key(_coerce_adjust, []),
-        "train_len": _Key(_coerce_int, 40),
-        "trade_len": _Key(_coerce_int, 5),
-        "leverage": _Key(_coerce_float, 1.0),
-        "initial_value": _Key(_coerce_float, 10_000.0),
-        "threshold_mode": _Key(_coerce_str, "approx"),
-        "gamma": _Key(_coerce_float, None),
-        "gamma_floor": _Key(_coerce_float, DEFAULT_GAMMA_FLOOR),
-        "emit_ledger": _Key(_coerce_bool, True),
-        "emit_report": _Key(_coerce_bool, True),
-        "emit_plot": _Key(_coerce_bool, True),
-    },
-    "montecarlo": {
-        **_COMMON_MC_LEMMA,
-        "trials": _Key(_coerce_int, 10_000),
-        "periods": _Key(_coerce_int, 250),
-        "theta": _Key(_coerce_float, 0.3),
-        "sigma_s": _Key(_coerce_float, 0.012),
-        "sigma_w": _Key(_coerce_float, 0.005),
-        "beta": _Key(_coerce_float, 2.0),
-        "mu": _Key(_coerce_float, 0.0),
-        "gamma_cap": _Key(_coerce_float, 0.05),
-        "s0": _Key(_coerce_float, 0.0),
-        "p0": _Key(_coerce_p0, [100.0, 50.0]),
-        "eta": _Key(_coerce_float, 0.2),
-        "gamma": _Key(_coerce_float, None),
-        "threshold_mode": _Key(_coerce_str, "approx"),
-        "leverage": _Key(_coerce_float, 1.0),
-        "initial_value": _Key(_coerce_float, 10_000.0),
-        "bins": _Key(_coerce_int, 0),
-    },
-    "verify-lemma": {
-        **_COMMON_MC_LEMMA,
-        "samples": _Key(_coerce_int, 10_000),
-        "beta": _Key(_coerce_float, 2.0),
-        "mu": _Key(_coerce_float, 0.0),
-        "gamma": _Key(_coerce_float, 0.05),
-        "band": _Key(_coerce_float, 1.0),
-        "p0": _Key(_coerce_p0, [100.0, 50.0]),
-    },
-}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _scalar(key: Key, text: str):
+    try:
+        if key.type is bool:
+            return _BOOLS[text.strip().lower()]
+        return key.type(text)
+    except (KeyError, ValueError):
+        raise UsageError(
+            f"config key {key.name!r}: expected {_EXPECTED[key.type]}, got {text!r}"
+        ) from None
+
+
+def _from_text(key: Key, text: str):
+    """A config-file value, coerced as the key's flag would parse it."""
+    if "nargs" in key.flag:
+        parts = text.replace(",", " ").split()
+        if len(parts) != key.flag["nargs"]:
+            raise UsageError(f"config key {key.name!r}: expected two numbers, got {text!r}")
+        return [_scalar(key, part) for part in parts]
+    if key.flag.get("action") == "append":
+        return [_scalar(key, tok.strip()) for tok in text.split(",") if tok.strip()]
+    return _scalar(key, text)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -198,110 +204,50 @@ def _read_config_file(path: str) -> dict[str, str]:
 # parser
 
 
+def _help(key: Key) -> str:
+    shown = " ".join(map(str, key.default)) if isinstance(key.default, tuple) else key.default
+    return key.help if shown in (None, "") else f"{key.help} (default {shown})"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pairtrade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    bt = sub.add_parser("backtest", help="run the sliding-window strategy over a price CSV")
-    bt.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    bt.add_argument("--input", metavar="PATH", help="price CSV with header date,p1,p2")
-    bt.add_argument("--out-dir", metavar="DIR", help="output directory (default .)")
-    bt.add_argument(
-        "--adjust",
-        metavar="STOCK:INDEX:FACTOR",
-        type=_adjust_flag,
-        action="append",
-        help="price correction rule, repeatable; scales STOCK before INDEX by FACTOR",
-    )
-    bt.add_argument("--train-len", type=int, metavar="N", help="training window length (default 40)")
-    bt.add_argument("--trade-len", type=int, metavar="M", help="trading window length (default 5)")
-    bt.add_argument("--leverage", type=float, help="leverage factor L (default 1.0)")
-    bt.add_argument("--initial-value", type=float, help="starting account value (default 10000)")
-    bt.add_argument(
-        "--threshold-mode", choices=THRESHOLD_MODES, help="threshold variant (default approx)"
-    )
-    bt.add_argument("--gamma", type=float, help="fixed gamma override instead of the window estimate")
-    bt.add_argument("--gamma-floor", type=float, help="gamma floor for flat windows (default 1e-4)")
-    bt.add_argument(
-        "--no-ledger", dest="emit_ledger", action="store_const", const=False, help="skip ledger.csv"
-    )
-    bt.add_argument(
-        "--no-report", dest="emit_report", action="store_const", const=False, help="skip report.json"
-    )
-    bt.add_argument(
-        "--no-plot", dest="emit_plot", action="store_const", const=False, help="skip plot.csv"
-    )
-
-    mc = sub.add_parser("montecarlo", help="Monte Carlo check of traded-period expected profit")
-    mc.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    mc.add_argument("--out-dir", metavar="DIR", help="also write montecarlo.json here")
-    mc.add_argument("--trials", type=int, help="number of independent trials (default 10000)")
-    mc.add_argument("--periods", type=int, help="periods per trial (default 250)")
-    mc.add_argument("--theta", type=float, help="true reversion rate in (0,1) (default 0.3)")
-    mc.add_argument("--sigma-s", type=float, help="spread innovation scale (default 0.012)")
-    mc.add_argument("--sigma-w", type=float, help="log-price step scale (default 0.005)")
-    mc.add_argument("--beta", type=float, help="true cointegration slope (default 2.0)")
-    mc.add_argument("--mu", type=float, help="true cointegration level (default 0.0)")
-    mc.add_argument("--gamma-cap", type=float, help="hard per-period return cap (default 0.05)")
-    mc.add_argument("--s0", type=float, help="initial spread (default 0.0)")
-    mc.add_argument("--p0", type=float, nargs=2, metavar=("P1", "P2"), help="initial prices")
-    mc.add_argument("--eta", type=float, help="assumed reversion rate for the threshold (default 0.2)")
-    mc.add_argument("--gamma", type=float, help="assumed return bound (default: gamma-cap)")
-    mc.add_argument(
-        "--threshold-mode", choices=THRESHOLD_MODES, help="threshold variant (default approx)"
-    )
-    mc.add_argument("--leverage", type=float, help="leverage factor (default 1.0)")
-    mc.add_argument("--initial-value", type=float, help="account value per trial (default 10000)")
-    mc.add_argument("--bins", type=int, help="spread bins for the stderr diagnostic (default 0)")
-    mc.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-
-    vl = sub.add_parser("verify-lemma", help="Monte Carlo check of the curvature bound")
-    vl.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    vl.add_argument("--out-dir", metavar="DIR", help="also write verify_lemma.json here")
-    vl.add_argument("--samples", type=int, help="number of sampled points (default 10000)")
-    vl.add_argument("--beta", type=float, help="cointegration slope (default 2.0)")
-    vl.add_argument("--mu", type=float, help="cointegration level (default 0.0)")
-    vl.add_argument("--gamma", type=float, help="box half-width in (0,1) (default 0.05)")
-    vl.add_argument("--band", type=float, help="log-uniform price band half-width (default 1.0)")
-    vl.add_argument("--p0", type=float, nargs=2, metavar=("P1", "P2"), help="band center prices")
-    vl.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
+    for command, (_, run) in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for key in KEYS[command]:
+            if key.type is bool:
+                flag = "--no-" + key.name.removeprefix("emit_")
+                p.add_argument(flag, dest=key.name, action="store_const", const=False, help=key.help)
+            else:
+                flag = "--" + key.name.replace("_", "-")
+                p.add_argument(flag, dest=key.name, type=key.type, help=_help(key), **key.flag)
     return parser
 
 
 def _resolve(ns: argparse.Namespace) -> dict:
     """Merge flag > file > default into a plain config dict."""
-    schema = SCHEMAS[ns.command]
+    keys = {key.name: key for key in KEYS[ns.command]}
     file_vals: dict[str, object] = {}
     if ns.config is not None:
-        for key, text in _read_config_file(ns.config).items():
-            if key not in schema:
-                raise UsageError(f"config file: unknown key {key!r} for {ns.command}")
-            file_vals[key] = schema[key].coerce(key, text)
+        for name, text in _read_config_file(ns.config).items():
+            if name not in keys:
+                raise UsageError(f"config file: unknown key {name!r} for {ns.command}")
+            file_vals[name] = _from_text(keys[name], text)
     resolved: dict[str, object] = {"subcommand": ns.command}
-    for key, entry in schema.items():
-        flag_val = getattr(ns, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in file_vals:
-            resolved[key] = file_vals[key]
-        else:
-            resolved[key] = entry.default
-    if isinstance(resolved.get("p0"), (list, tuple)):
-        resolved["p0"] = [float(resolved["p0"][0]), float(resolved["p0"][1])]
+    for name, key in keys.items():
+        flag_val = getattr(ns, name)
+        resolved[name] = flag_val if flag_val is not None else file_vals.get(name, key.default)
     return resolved
 
 
 def _echo_config(cfg: dict) -> dict:
     """JSON form of the resolved config for the report's `config` block."""
-    out: dict[str, object] = {}
-    for key, value in cfg.items():
-        if key == "adjust":
-            out[key] = [
-                {"stock": r.stock, "index": r.effective_index, "factor": r.factor} for r in value
-            ]
-        else:
-            out[key] = value
+    out = dict(cfg)
+    if "adjust" in out:
+        out["adjust"] = [
+            {"stock": r.stock, "index": r.effective_index, "factor": r.factor} for r in cfg["adjust"]
+        ]
     return out
 
 
@@ -310,59 +256,48 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def _validate_backtest(cfg: dict) -> BacktestConfig:
     _require(cfg["input"] is not None, "backtest: --input is required")
     _require(Path(cfg["input"]).is_file(), f"--input: no such file: {cfg['input']}")
-    try:
-        window = WindowConfig(train_len=cfg["train_len"], trade_len=cfg["trade_len"])
-        return BacktestConfig(
-            window=window,
-            leverage=cfg["leverage"],
-            initial_value=cfg["initial_value"],
-            threshold_mode=cfg["threshold_mode"],
-            gamma_override=cfg["gamma"],
-            gamma_floor=cfg["gamma_floor"],
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return BacktestConfig(
+        window=WindowConfig(train_len=cfg["train_len"], trade_len=cfg["trade_len"]),
+        leverage=cfg["leverage"],
+        initial_value=cfg["initial_value"],
+        threshold_mode=cfg["threshold_mode"],
+        gamma_override=cfg["gamma"],
+        gamma_floor=cfg["gamma_floor"],
+    )
 
 
-def _validate_spec(cfg: dict, sigma_s: float, sigma_w: float, theta: float, s0: float) -> OUPairSpec:
-    try:
-        p0 = PricePoint(cfg["p0"][0], cfg["p0"][1])
-        gamma_cap = cfg.get("gamma_cap")
-        if gamma_cap is None:
-            gamma_cap = cfg["gamma"]
-        return OUPairSpec(
-            theta=theta,
-            sigma_s=sigma_s,
-            sigma_w=sigma_w,
-            beta_true=cfg["beta"],
-            mu_true=cfg["mu"],
-            gamma_cap=gamma_cap,
-            s0=s0,
-            p0=p0,
-            seed=cfg["seed"],
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+def _validate_spec(cfg: dict, **dynamics) -> OUPairSpec:
+    return OUPairSpec(
+        p0=PricePoint(*cfg["p0"]),
+        beta_true=cfg["beta"],
+        mu_true=cfg["mu"],
+        seed=cfg["seed"],
+        **dynamics,
+    )
 
 
 def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
-    spec = _validate_spec(cfg, cfg["sigma_s"], cfg["sigma_w"], cfg["theta"], cfg["s0"])
+    spec = _validate_spec(
+        cfg,
+        theta=cfg["theta"],
+        sigma_s=cfg["sigma_s"],
+        sigma_w=cfg["sigma_w"],
+        gamma_cap=cfg["gamma_cap"],
+        s0=cfg["s0"],
+    )
     _require(cfg["trials"] >= 1, "--trials must be at least 1")
     _require(cfg["periods"] >= 2, "--periods must be at least 2")
     _require(cfg["bins"] >= 0, "--bins must be non-negative")
-    _require(_finite(cfg["eta"]), "--eta must be a finite number")
+    _require(math.isfinite(cfg["eta"]), "--eta must be a finite number")
     _require(
-        _finite(cfg["leverage"]) and cfg["leverage"] > 0.0, "--leverage must be finite and positive"
+        math.isfinite(cfg["leverage"]) and cfg["leverage"] > 0.0,
+        "--leverage must be finite and positive",
     )
     _require(
-        _finite(cfg["initial_value"]) and cfg["initial_value"] > 0.0,
+        math.isfinite(cfg["initial_value"]) and cfg["initial_value"] > 0.0,
         "--initial-value must be finite and positive",
     )
     _require(cfg["threshold_mode"] in THRESHOLD_MODES, "--threshold-mode must be approx or exact")
@@ -373,23 +308,20 @@ def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
 
 def _validate_lemma(cfg: dict) -> OUPairSpec:
     _require(cfg["samples"] >= 1, "--samples must be at least 1")
-    _require(_finite(cfg["band"]) and cfg["band"] > 0.0, "--band must be finite and positive")
+    _require(math.isfinite(cfg["band"]) and cfg["band"] > 0.0, "--band must be finite and positive")
     _require(
-        _finite(cfg["gamma"]) and 0.0 < cfg["gamma"] < 1.0, "--gamma must lie in (0, 1)"
+        math.isfinite(cfg["gamma"]) and 0.0 < cfg["gamma"] < 1.0, "--gamma must lie in (0, 1)"
     )
     # the lemma needs no dynamics: a zero-noise spec carries (beta, mu, gamma, p0, seed)
-    return _validate_spec(cfg, 0.0, 0.0, 0.5, 0.0)
+    return _validate_spec(cfg, theta=0.5, sigma_s=0.0, sigma_w=0.0, gamma_cap=cfg["gamma"])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _cmd_backtest(cfg: dict, bt_config: BacktestConfig) -> int:
+def _run_backtest(cfg: dict, bt_config: BacktestConfig) -> None:
+    """Run the sliding-window strategy over a price CSV."""
     series = load_csv(cfg["input"])
     if cfg["adjust"]:
         series = apply_adjustments(series, cfg["adjust"])
@@ -409,10 +341,21 @@ def _cmd_backtest(cfg: dict, bt_config: BacktestConfig) -> int:
         f"max_drawdown={report.max_drawdown:.6f} "
         f"active_periods={report.active_periods}"
     )
-    return EXIT_OK
 
 
-def _cmd_montecarlo(cfg: dict, spec: OUPairSpec, gamma_assumed: float) -> int:
+def _emit_json(cfg: dict, payload: dict, filename: str) -> None:
+    """Print the payload plus the config echo; also write it to out_dir/filename."""
+    text = json.dumps({**payload, "config": _echo_config(cfg)}, sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(text)
+    if cfg["out_dir"] is not None:
+        out_dir = Path(cfg["out_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / filename).write_text(text, encoding="utf-8")
+
+
+def _run_montecarlo(cfg: dict, validated: tuple[OUPairSpec, float]) -> None:
+    """Monte Carlo check of traded-period expected profit."""
+    spec, gamma_assumed = validated
     summary = verify_theorem(
         spec,
         trials=cfg["trials"],
@@ -424,16 +367,6 @@ def _cmd_montecarlo(cfg: dict, spec: OUPairSpec, gamma_assumed: float) -> int:
         initial_value=cfg["initial_value"],
         collect_bins=cfg["bins"],
     )
-    payload = {
-        "trials": summary.trials,
-        "trade_events": summary.trade_events,
-        "mean_dV": summary.mean_dv,
-        "p_value": summary.p_value,
-        "mode": summary.mode,
-        "config": _echo_config(cfg),
-    }
-    text = _dump_json(payload)
-    sys.stdout.write(text)
     ratio = summary.tau_approx / summary.tau_exact if summary.tau_exact > 0.0 else math.nan
     print(
         f"tau_used={summary.tau:.10g} tau_exact={summary.tau_exact:.10g} "
@@ -449,14 +382,18 @@ def _cmd_montecarlo(cfg: dict, spec: OUPairSpec, gamma_assumed: float) -> int:
                 f"events={summary.bin_counts[i]} mean_dV={summary.bin_mean_dv[i]:.6g}",
                 file=sys.stderr,
             )
-    if cfg["out_dir"] is not None:
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "montecarlo.json").write_text(text, encoding="utf-8")
-    return EXIT_OK
+    payload = {
+        "trials": summary.trials,
+        "trade_events": summary.trade_events,
+        "mean_dV": summary.mean_dv,
+        "p_value": summary.p_value,
+        "mode": summary.mode,
+    }
+    _emit_json(cfg, payload, "montecarlo.json")
 
 
-def _cmd_verify_lemma(cfg: dict, spec: OUPairSpec) -> int:
+def _run_lemma(cfg: dict, spec: OUPairSpec) -> None:
+    """Monte Carlo check of the curvature bound."""
     summary = verify_lemma(spec, samples=cfg["samples"], gamma=cfg["gamma"], band=cfg["band"])
     payload = {
         "samples": summary.samples,
@@ -464,15 +401,17 @@ def _cmd_verify_lemma(cfg: dict, spec: OUPairSpec) -> int:
         "max_violation": summary.max_violation,
         "max_remainder": summary.max_remainder,
         "max_ratio": summary.max_ratio,
-        "config": _echo_config(cfg),
     }
-    text = _dump_json(payload)
-    sys.stdout.write(text)
-    if cfg["out_dir"] is not None:
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verify_lemma.json").write_text(text, encoding="utf-8")
-    return EXIT_OK
+    _emit_json(cfg, payload, "verify_lemma.json")
+
+
+# validate(cfg) raises UsageError or DomainError before any work; run(cfg, validated)
+# does the work, and its docstring is the command's help line
+COMMANDS = {
+    "backtest": (_validate_backtest, _run_backtest),
+    "montecarlo": (_validate_montecarlo, _run_montecarlo),
+    "verify-lemma": (_validate_lemma, _run_lemma),
+}
 
 
 def main(argv=None) -> int:
@@ -480,24 +419,17 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         cfg = _resolve(ns)
-        if ns.command == "backtest":
-            bt_config = _validate_backtest(cfg)
-        elif ns.command == "montecarlo":
-            spec, gamma_assumed = _validate_montecarlo(cfg)
-        else:
-            spec = _validate_lemma(cfg)
-    except UsageError as exc:
+        validate, run = COMMANDS[ns.command]
+        validated = validate(cfg)
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if ns.command == "backtest":
-            return _cmd_backtest(cfg, bt_config)
-        if ns.command == "montecarlo":
-            return _cmd_montecarlo(cfg, spec, gamma_assumed)
-        return _cmd_verify_lemma(cfg, spec)
+        run(cfg, validated)
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps failures to exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

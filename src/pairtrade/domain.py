@@ -37,22 +37,6 @@ class PricePoint:
         _require_finite_positive("p1", self.p1)
         _require_finite_positive("p2", self.p2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2], dtype=float)
-
-
-@dataclass(frozen=True)
-class ReturnPair:
-    """Per-period relative returns of the two prices. Each component is > -1."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self) -> None:
-        for name, x in (("x1", self.x1), ("x2", self.x2)):
-            if not (math.isfinite(x) and x > -1.0):
-                raise DomainError(f"{name} must be a finite number > -1, got {x!r}")
-
 
 class PriceSeries:
     """Immutable date-labelled pair of strictly positive price paths.
@@ -127,64 +111,3 @@ def return_arrays(series: PriceSeries) -> np.ndarray:
     out[:, 0] = series.p1[1:] / series.p1[:-1] - 1.0
     out[:, 1] = series.p2[1:] / series.p2[:-1] - 1.0
     return out
-
-
-def compute_returns(series: PriceSeries) -> tuple[ReturnPair, ...]:
-    """Relative returns of both prices for every consecutive index pair."""
-    arr = return_arrays(series)
-    return tuple(ReturnPair(float(a), float(b)) for a, b in arr)
-
-
-@dataclass(frozen=True)
-class BoxBounds:
-    """The closed box of price points within relative distance gamma of a center.
-
-    Contains p' iff |p_i' - p_i| <= gamma * p_i for both coordinates. gamma
-    must lie in (0, 1) so every point in the box has positive prices.
-    """
-
-    center: PricePoint
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and 0.0 < self.gamma < 1.0):
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
-
-    def lower(self) -> PricePoint:
-        return PricePoint(self.center.p1 * (1.0 - self.gamma), self.center.p2 * (1.0 - self.gamma))
-
-    def upper(self) -> PricePoint:
-        return PricePoint(self.center.p1 * (1.0 + self.gamma), self.center.p2 * (1.0 + self.gamma))
-
-    def contains(self, p: PricePoint) -> bool:
-        return (
-            abs(p.p1 - self.center.p1) <= self.gamma * self.center.p1
-            and abs(p.p2 - self.center.p2) <= self.gamma * self.center.p2
-        )
-
-
-@dataclass(frozen=True)
-class AccountState:
-    """Account value plus current share holdings (n1, n2) and leverage cap."""
-
-    value: float
-    holdings: tuple[float, float] = (0.0, 0.0)
-    leverage: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value)):
-            raise DomainError(f"account value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.leverage) and self.leverage > 0.0):
-            raise DomainError(f"leverage must be finite and positive, got {self.leverage!r}")
-        n1, n2 = self.holdings
-        if not (math.isfinite(n1) and math.isfinite(n2)):
-            raise DomainError(f"holdings must be finite, got {self.holdings!r}")
-
-    def gross_exposure(self, p: PricePoint) -> float:
-        """|n1| p1 + |n2| p2, the capital tied up at prices p."""
-        return abs(self.holdings[0]) * p.p1 + abs(self.holdings[1]) * p.p2
-
-    def is_fully_invested(self, p: PricePoint, rel_tol: float = 1e-9) -> bool:
-        """True when gross exposure equals leverage * value within rel_tol."""
-        target = self.leverage * self.value
-        return abs(self.gross_exposure(p) - target) <= rel_tol * max(1.0, abs(target))

@@ -19,16 +19,15 @@ reversion rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .domain import DomainError, LengthError, PricePoint, PriceSeries
 from .spread import CointegrationSpread, spread_gradient
-from .trading import threshold_approx, threshold_exact
+from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
-THRESHOLD_MODES = ("approx", "exact")
 # trials simulated side by side; bounds the block arrays of verify_theorem
 # (each (periods, CHUNK_TRIALS) array is 2 MB at 250 periods)
 CHUNK_TRIALS = 1024
@@ -140,9 +139,6 @@ class OUPairSpec:
             p0=p0 if p0 is not None else PricePoint(100.0, 50.0),
             seed=seed,
         )
-
-    def with_seed(self, seed: int) -> "OUPairSpec":
-        return replace(self, seed=seed)
 
 
 def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:

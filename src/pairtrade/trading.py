@@ -24,6 +24,7 @@ from .estimation import sign
 from .spread import SpreadModel, spread_gradient, spread_hessian
 
 DEFAULT_GRID_POINTS = 41
+THRESHOLD_MODES = ("approx", "exact")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Core type invariants: positive prices, return bounds, box membership."""
+"""Core type invariants: positive prices, ordered dates, relative returns."""
 
 import math
 
@@ -7,17 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrade.domain import (
-    AccountState,
-    BoxBounds,
-    DomainError,
-    LengthError,
-    PricePoint,
-    PriceSeries,
-    ReturnPair,
-    compute_returns,
-    return_arrays,
-)
+from pairtrade.domain import DomainError, LengthError, PricePoint, PriceSeries, return_arrays
 
 log_prices = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -41,18 +31,6 @@ class TestPricePoint:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
             PricePoint(bad, 50.0)
-
-    def test_as_array(self):
-        assert np.array_equal(PricePoint(3.0, 7.0).as_array(), np.array([3.0, 7.0]))
-
-
-class TestReturnPair:
-    def test_bound(self):
-        ReturnPair(-0.999, 5.0)
-        with pytest.raises(DomainError):
-            ReturnPair(-1.0, 0.0)
-        with pytest.raises(DomainError):
-            ReturnPair(0.0, math.nan)
 
 
 class TestPriceSeries:
@@ -101,25 +79,24 @@ class TestReturns:
     def test_hand_example(self):
         # p1: 100 -> 105 -> 99.75 gives +5% then -5%; p2 flat gives zeros
         s = make_series([100.0, 105.0, 99.75], [50.0, 50.0, 50.0])
-        rets = compute_returns(s)
-        assert rets[0].x1 == pytest.approx(0.05, abs=1e-12)
-        assert rets[1].x1 == pytest.approx(-0.05, abs=1e-12)
-        assert rets[0].x2 == 0.0 and rets[1].x2 == 0.0
+        rets = return_arrays(s)
+        assert rets.shape == (2, 2)
+        assert rets[0, 0] == pytest.approx(0.05, abs=1e-12)
+        assert rets[1, 0] == pytest.approx(-0.05, abs=1e-12)
+        assert rets[0, 1] == 0.0 and rets[1, 1] == 0.0
 
     def test_too_short(self):
         s = make_series([100.0], [50.0])
         with pytest.raises(LengthError):
-            compute_returns(s)
-        with pytest.raises(LengthError):
             return_arrays(s)
 
     def test_arrays_match_pairs(self):
-        s = make_series([100.0, 105.0, 99.75, 120.0], [50.0, 48.0, 51.0, 51.0])
-        arr = return_arrays(s)
-        pairs = compute_returns(s)
-        for i, rp in enumerate(pairs):
-            assert arr[i, 0] == rp.x1
-            assert arr[i, 1] == rp.x2
+        # each entry is the scalar one-period return of that consecutive pair
+        p1, p2 = [100.0, 105.0, 99.75, 120.0], [50.0, 48.0, 51.0, 51.0]
+        arr = return_arrays(make_series(p1, p2))
+        for i in range(3):
+            assert arr[i, 0] == p1[i + 1] / p1[i] - 1.0
+            assert arr[i, 1] == p2[i + 1] / p2[i] - 1.0
 
     @given(st.lists(st.tuples(log_prices, log_prices), min_size=2, max_size=50))
     @settings(max_examples=200)
@@ -128,58 +105,12 @@ class TestReturns:
         p1 = [math.exp(a) for a, _ in logs]
         p2 = [math.exp(b) for _, b in logs]
         s = make_series(p1, p2)
-        rets = compute_returns(s)
+        rets = return_arrays(s)
         r1 = p1[0]
         r2 = p2[0]
-        for i, rp in enumerate(rets):
-            assert rp.x1 > -1.0 and rp.x2 > -1.0
-            r1 *= 1.0 + rp.x1
-            r2 *= 1.0 + rp.x2
+        for i, (x1, x2) in enumerate(rets):
+            assert x1 > -1.0 and x2 > -1.0
+            r1 *= 1.0 + x1
+            r2 *= 1.0 + x2
             assert r1 == pytest.approx(p1[i + 1], rel=1e-12)
             assert r2 == pytest.approx(p2[i + 1], rel=1e-12)
-
-
-class TestBoxBounds:
-    def test_contains_center_and_faces(self):
-        box = BoxBounds(PricePoint(100.0, 50.0), 0.05)
-        assert box.contains(PricePoint(100.0, 50.0))
-        assert box.contains(PricePoint(105.0, 47.5))
-        assert not box.contains(PricePoint(105.1, 50.0))
-        assert box.lower() == PricePoint(95.0, 47.5)
-        assert box.upper() == PricePoint(105.0, 52.5)
-
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5, math.nan])
-    def test_gamma_domain(self, gamma):
-        with pytest.raises(DomainError):
-            BoxBounds(PricePoint(100.0, 50.0), gamma)
-
-    @given(
-        log_prices,
-        log_prices,
-        st.floats(min_value=0.01, max_value=0.99),
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.floats(min_value=-1.0, max_value=1.0),
-    )
-    @settings(max_examples=200)
-    def test_relative_displacements_inside(self, lp1, lp2, gamma, t1, t2):
-        center = PricePoint(math.exp(lp1), math.exp(lp2))
-        box = BoxBounds(center, gamma)
-        shifted = PricePoint(center.p1 * (1.0 + gamma * t1 * 0.999), center.p2 * (1.0 + gamma * t2 * 0.999))
-        assert box.contains(shifted)
-
-
-class TestAccountState:
-    def test_full_investment_check(self):
-        state = AccountState(value=10_000.0, holdings=(-200.0 / 3.0, 200.0 / 3.0), leverage=1.0)
-        p = PricePoint(100.0, 50.0)
-        assert state.gross_exposure(p) == pytest.approx(10_000.0, rel=1e-12)
-        assert state.is_fully_invested(p)
-        assert not AccountState(10_000.0, (0.0, 0.0)).is_fully_invested(p)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            AccountState(math.nan)
-        with pytest.raises(DomainError):
-            AccountState(1.0, leverage=0.0)
-        with pytest.raises(DomainError):
-            AccountState(1.0, holdings=(math.inf, 0.0))

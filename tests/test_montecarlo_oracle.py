@@ -7,13 +7,10 @@ relative. perfbench/checks.py recomputes the montecarlo command's output
 with its own numpy code and is imported here unchanged.
 """
 
-import importlib.util
 import io
 import json
 import math
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from pairtrade.cli import main
 from pairtrade.domain import PricePoint
 from pairtrade.synthetic import OUPairSpec, generate_pair, verify_theorem
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MEAN_RTOL = 1e-12
 
 SPEC = OUPairSpec(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, seed=11)
@@ -118,18 +114,9 @@ class TestGeneratePairOracle:
         assert np.array_equal(series.p2, p2)
 
 
-def _perfbench_checks(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the module runs
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestPerfbenchChecker:
-    def test_check_montecarlo_accepts_cli_output(self, monkeypatch):
-        checks = _perfbench_checks(monkeypatch)
+    def test_check_montecarlo_accepts_cli_output(self, perfbench):
+        checks = perfbench("checks")
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             rc = main(["montecarlo", "--trials", "500", "--periods", "250", "--seed", "4"])
