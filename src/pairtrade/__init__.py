@@ -60,13 +60,7 @@ from .synthetic import (
     verify_lemma,
     verify_theorem,
 )
-from .trading import (
-    TradeDecision,
-    allocate,
-    step_account,
-    threshold_approx,
-    threshold_exact,
-)
+from .trading import allocate, threshold_approx, threshold_exact
 
 __version__ = "0.1.0"
 
@@ -90,7 +84,6 @@ __all__ = [
     "SpreadModel",
     "StationaryPointError",
     "TheoremSummary",
-    "TradeDecision",
     "WindowConfig",
     "WindowEstimates",
     "allocate",
@@ -108,7 +101,6 @@ __all__ = [
     "spread_gradient",
     "spread_hessian",
     "spread_value",
-    "step_account",
     "threshold_approx",
     "threshold_exact",
     "trial_generators",

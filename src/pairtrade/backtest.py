@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import DomainError, LengthError, PricePoint, PriceSeries
+from .domain import DomainError, LengthError, PriceSeries
 from .estimation import (
     DEFAULT_GAMMA_FLOOR,
     WindowConfig,
@@ -28,14 +28,7 @@ from .estimation import (
     estimate_gamma,
 )
 from .spread import DegenerateRegressorError, SpreadModel, fit_cointegration, spread_value
-from .trading import (
-    THRESHOLD_MODES,
-    TradeDecision,
-    allocate,
-    step_account,
-    threshold_approx,
-    threshold_exact,
-)
+from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
 
 logger = logging.getLogger(__name__)
 
@@ -171,13 +164,11 @@ def _window_estimates(
         gamma_hat = config.gamma_override
     else:
         gamma_hat = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
-    spread_path = [spread_value(model, window.point(j)) for j in range(len(window))]
-    eta_hat = estimate_eta(spread_path)
     return WindowEstimates(
         beta_hat=float(getattr(model, "beta", math.nan)),
         mu_hat=float(getattr(model, "mu", math.nan)),
         gamma_hat=gamma_hat,
-        eta_hat=eta_hat,
+        eta_hat=estimate_eta(spread_value(model, window.p1, window.p2)),
     )
 
 
@@ -196,6 +187,10 @@ def run_backtest(
     rows have NaN spread and estimates, an infinite threshold and no
     position. If the account value ever drops to zero or below, trading
     halts for the rest of the run.
+
+    Each refit's spreads and thresholds are evaluated over its whole block of
+    trade_len rows at once; only the allocation and the value recursion run
+    row by row.
     """
     if config is None:
         config = BacktestConfig()
@@ -206,79 +201,71 @@ def run_backtest(
         raise LengthError(
             f"need at least train_len + 2 = {n_train + 2} observations, got {total}"
         )
+    threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
 
-    p1 = series.p1
-    p2 = series.p2
+    p1 = series.p1.tolist()
+    p2 = series.p2.tolist()
     value = config.initial_value
     rows: list[LedgerRow] = []
-    model: SpreadModel | None = None
-    est: WindowEstimates | None = None
-    window_tradeable = False
     halted = False
 
-    for k in range(n_train, total):
-        if (k - n_train) % stride == 0:
-            window = series.window(k - n_train, k)
-            try:
-                model = fit_model(window)
-            except DegenerateRegressorError as exc:
-                model = est = None
-                window_tradeable = False
-                logger.warning("window ending at k=%d untradeable: %s", k, exc)
-            else:
-                est = _window_estimates(window, model, config)
-                window_tradeable = (
-                    est.gamma_hat < 1.0 and config.leverage * est.gamma_hat < 1.0
-                )
-                if not window_tradeable:
-                    logger.warning(
-                        "window ending at k=%d untradeable: gamma_hat=%.6g, "
-                        "leverage*gamma_hat=%.6g (both must be < 1)",
-                        k,
-                        est.gamma_hat,
-                        config.leverage * est.gamma_hat,
-                    )
-        point = series.point(k)
-        # without a fitted model the spread is NaN, which never exceeds tau = inf
-        spread = math.nan if model is None else spread_value(model, point)
-        if window_tradeable and est.tradeable:
-            if config.threshold_mode == "exact":
-                tau = threshold_exact(model, point, est.gamma_hat, est.eta_hat)
-            else:
-                tau = threshold_approx(model, point, est.gamma_hat, est.eta_hat)
+    for start in range(n_train, total, stride):
+        ks = range(start, min(start + stride, total))
+        bp1 = series.p1[start : ks.stop]
+        bp2 = series.p2[start : ks.stop]
+        window = series.window(start - n_train, start)
+        # an unfitted window has NaN spread and estimates; NaN never exceeds tau = inf
+        model = None
+        beta = mu = gamma = eta = math.nan
+        spreads = [math.nan] * len(ks)
+        taus = [math.inf] * len(ks)
+        try:
+            model = fit_model(window)
+        except DegenerateRegressorError as exc:
+            logger.warning("window ending at k=%d untradeable: %s", start, exc)
         else:
-            tau = math.inf
-        if halted or value <= 0.0:
-            if not halted:
+            est = _window_estimates(window, model, config)
+            beta, mu, gamma, eta = est.beta_hat, est.mu_hat, est.gamma_hat, est.eta_hat
+            spreads = spread_value(model, bp1, bp2).tolist()
+            window_tradeable = gamma < 1.0 and config.leverage * gamma < 1.0
+            if not window_tradeable:
+                logger.warning(
+                    "window ending at k=%d untradeable: gamma_hat=%.6g, "
+                    "leverage*gamma_hat=%.6g (both must be < 1)",
+                    start,
+                    gamma,
+                    config.leverage * gamma,
+                )
+            elif est.tradeable:
+                taus = threshold(model, bp1, bp2, gamma, eta).tolist()
+        for k, spread, tau in zip(ks, spreads, taus):
+            if not halted and value <= 0.0:
                 halted = True
                 logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, k)
-            decision = TradeDecision(spread, tau, False, (0.0, 0.0))
-        else:
-            decision = allocate(model, point, spread, tau, value, config.leverage)
-        rows.append(
-            LedgerRow(
-                k=k,
-                date=series.dates[k],
-                p1=point.p1,
-                p2=point.p2,
-                spread=spread,
-                threshold=tau,
-                beta=est.beta_hat if est is not None else math.nan,
-                mu=est.mu_hat if est is not None else math.nan,
-                gamma=est.gamma_hat if est is not None else math.nan,
-                eta=est.eta_hat if est is not None else math.nan,
-                n1=decision.holdings[0],
-                n2=decision.holdings[1],
-                value=value,
-                active=decision.active,
+            if halted:
+                n1 = n2 = 0.0
+            else:
+                n1, n2 = allocate(model, p1[k], p2[k], spread, tau, value, config.leverage)
+            rows.append(
+                LedgerRow(
+                    k=k,
+                    date=series.dates[k],
+                    p1=p1[k],
+                    p2=p2[k],
+                    spread=spread,
+                    threshold=tau,
+                    beta=beta,
+                    mu=mu,
+                    gamma=gamma,
+                    eta=eta,
+                    n1=n1,
+                    n2=n2,
+                    value=value,
+                    active=not halted and abs(spread) > tau,
+                )
             )
-        )
-        if k + 1 < total:
-            dv = step_account(
-                decision.holdings,
-                (float(p1[k + 1]) - point.p1, float(p2[k + 1]) - point.p2),
-            )
-            value = value + dv
+            if k + 1 < total:
+                value = value + (n1 * (p1[k + 1] - p1[k]) + n2 * (p2[k + 1] - p2[k]))
 
     bh1 = buy_and_hold(series, 1, config.initial_value)
     bh2 = buy_and_hold(series, 2, config.initial_value)

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 flag/config validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -162,11 +163,17 @@ def _scalar(key: Key, text: str):
     try:
         if key.type is bool:
             return _BOOLS[text.strip().lower()]
-        return key.type(text)
+        value = key.type(text)
     except (KeyError, ValueError):
         raise UsageError(
             f"config key {key.name!r}: expected {_EXPECTED[key.type]}, got {text!r}"
         ) from None
+    choices = key.flag.get("choices")
+    if choices is not None and value not in choices:
+        raise UsageError(
+            f"config key {key.name!r}: expected one of {', '.join(choices)}, got {text!r}"
+        )
+    return value
 
 
 def _from_text(key: Key, text: str):
@@ -209,7 +216,9 @@ def _help(key: Key) -> str:
     return key.help if shown in (None, "") else f"{key.help} (default {shown})"
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused: parsing leaves it unchanged."""
     parser = _Parser(prog="pairtrade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, (_, run) in COMMANDS.items():
@@ -300,7 +309,6 @@ def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
         math.isfinite(cfg["initial_value"]) and cfg["initial_value"] > 0.0,
         "--initial-value must be finite and positive",
     )
-    _require(cfg["threshold_mode"] in THRESHOLD_MODES, "--threshold-mode must be approx or exact")
     gamma_assumed = cfg["gamma"] if cfg["gamma"] is not None else spec.gamma_cap
     _require(0.0 < gamma_assumed < 1.0, "--gamma must lie in (0, 1)")
     return spec, gamma_assumed
@@ -417,10 +425,13 @@ COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parser().parse_args(argv)
         cfg = _resolve(ns)
         validate, run = COMMANDS[ns.command]
         validated = validate(cfg)
+    except SystemExit:
+        # argparse exits only after printing --help; its errors raise UsageError
+        return EXIT_OK
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,9 +1,10 @@
 """Spread models: twice-differentiable scalar functions of the two prices.
 
-A spread model supplies value, gradient, and Hessian at any positive price
-point, with the three kept mutually consistent. The log-linear model
-S(p) = log p2 - beta log p1 - mu is the concrete family used throughout;
-its parameters are fit by least squares on log prices.
+A spread model supplies value, gradient, and Hessian over broadcastable
+price arrays (plain floats included), elementwise, with the three kept
+mutually consistent. The log-linear model S(p) = log p2 - beta log p1 - mu
+is the concrete family used throughout; its parameters are fit by least
+squares on log prices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, PricePoint, PriceSeries
+from .domain import DomainError, LengthError, PriceSeries
 
 
 class StationaryPointError(RuntimeError):
@@ -28,65 +29,42 @@ class DegenerateRegressorError(ValueError):
 class SpreadModel(ABC):
     """Interface for a spread function of two positive prices.
 
-    Implementations must be twice continuously differentiable on the positive
-    quadrant and must not have stationary points. Stationarity is checked
-    pointwise wherever a gradient is consumed; a quadrant-wide guarantee is
-    the implementer's responsibility.
+    Every method takes broadcastable prices (p1, p2), floats or arrays, and
+    works elementwise. Implementations must be twice continuously
+    differentiable on the positive quadrant and must not have stationary
+    points. Stationarity is checked pointwise wherever a gradient is
+    consumed; a quadrant-wide guarantee is the implementer's responsibility.
     """
 
     @abstractmethod
-    def value(self, p: PricePoint) -> float:
-        """S(p)."""
+    def value(self, p1, p2):
+        """S(p1, p2)."""
 
     @abstractmethod
-    def gradient(self, p: PricePoint) -> np.ndarray:
-        """Gradient of S at p, shape (2,)."""
+    def gradient(self, p1, p2):
+        """(dS/dp1, dS/dp2)."""
 
     @abstractmethod
-    def hessian(self, p: PricePoint) -> np.ndarray:
-        """Hessian of S at p, shape (2, 2), symmetric."""
-
-    def hessian_entries(self, p1, p2):
-        """Hessian entries (h11, h12, h22) over broadcastable price arrays.
-
-        Generic elementwise fallback; models with closed forms override this
-        so grid scans stay cheap.
-        """
-        p1b, p2b = np.broadcast_arrays(np.asarray(p1, dtype=float), np.asarray(p2, dtype=float))
-        h11 = np.empty(p1b.shape)
-        h12 = np.empty(p1b.shape)
-        h22 = np.empty(p1b.shape)
-        for idx in np.ndindex(p1b.shape):
-            h = self.hessian(PricePoint(float(p1b[idx]), float(p2b[idx])))
-            h11[idx] = h[0][0]
-            h12[idx] = h[0][1]
-            h22[idx] = h[1][1]
-        return h11, h12, h22
+    def hessian(self, p1, p2):
+        """(h11, h12, h22), the entries of the symmetric Hessian."""
 
 
-def spread_value(model: SpreadModel, p: PricePoint) -> float:
-    return float(model.value(p))
+def spread_value(model: SpreadModel, p1, p2):
+    """S at (p1, p2), elementwise."""
+    return model.value(p1, p2)
 
 
-def spread_gradient(model: SpreadModel, p: PricePoint) -> np.ndarray:
-    """Gradient as a float array; rejects stationary points."""
-    g = np.asarray(model.gradient(p), dtype=float)
-    if g.shape != (2,):
-        raise DomainError(f"gradient must have shape (2,), got {g.shape}")
-    if g[0] == 0.0 and g[1] == 0.0:
-        raise StationaryPointError(f"spread gradient vanishes at ({p.p1}, {p.p2})")
-    return g
+def spread_gradient(model: SpreadModel, p1, p2):
+    """(g1, g2); rejects stationary points."""
+    g1, g2 = model.gradient(p1, p2)
+    if not np.logical_or(g1, g2).all():
+        raise StationaryPointError(f"spread gradient vanishes at ({p1}, {p2})")
+    return g1, g2
 
 
-def spread_hessian(model: SpreadModel, p: PricePoint) -> np.ndarray:
-    """Hessian as a float array; must be symmetric."""
-    h = np.asarray(model.hessian(p), dtype=float)
-    if h.shape != (2, 2):
-        raise DomainError(f"hessian must have shape (2, 2), got {h.shape}")
-    scale = max(1.0, abs(h[0, 1]), abs(h[1, 0]))
-    if abs(h[0, 1] - h[1, 0]) > 1e-9 * scale:
-        raise DomainError(f"hessian must be symmetric, got off-diagonal {h[0, 1]} vs {h[1, 0]}")
-    return h
+def spread_hessian(model: SpreadModel, p1, p2):
+    """(h11, h12, h22) at (p1, p2), elementwise."""
+    return model.hessian(p1, p2)
 
 
 @dataclass(frozen=True)
@@ -101,30 +79,16 @@ class CointegrationSpread(SpreadModel):
             if not math.isfinite(x):
                 raise DomainError(f"{name} must be finite, got {x!r}")
 
-    def value(self, p: PricePoint) -> float:
-        return math.log(p.p2) - self.beta * math.log(p.p1) - self.mu
+    def value(self, p1, p2):
+        return np.log(p2) - self.beta * np.log(p1) - self.mu
 
-    def gradient(self, p: PricePoint) -> np.ndarray:
-        return np.array([-self.beta / p.p1, 1.0 / p.p2])
+    def gradient(self, p1, p2):
+        return -self.beta / np.asarray(p1, dtype=float), 1.0 / np.asarray(p2, dtype=float)
 
-    def hessian(self, p: PricePoint) -> np.ndarray:
-        return np.array(
-            [
-                [self.beta / (p.p1 * p.p1), 0.0],
-                [0.0, -1.0 / (p.p2 * p.p2)],
-            ]
-        )
-
-    def hessian_entries(self, p1, p2):
+    def hessian(self, p1, p2):
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
-        h11 = self.beta / (p1 * p1)
-        h22 = -1.0 / (p2 * p2)
-        return h11, 0.0, h22
-
-    def values_along(self, series: PriceSeries) -> np.ndarray:
-        """S(p(k)) for every index of the series."""
-        return np.log(series.p2) - self.beta * np.log(series.p1) - self.mu
+        return self.beta / (p1 * p1), 0.0, -1.0 / (p2 * p2)
 
 
 def fit_cointegration(window: PriceSeries) -> CointegrationSpread:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .domain import DomainError, LengthError, PricePoint, PriceSeries
-from .spread import CointegrationSpread, spread_gradient
+from .spread import CointegrationSpread, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
 # trials simulated side by side; bounds the block arrays of verify_theorem
@@ -258,8 +258,8 @@ def verify_theorem(
     gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
 
     model = CointegrationSpread(spec.beta_true, spec.mu_true)
-    tau_e = threshold_exact(model, spec.p0, gamma, eta)
-    tau_a = threshold_approx(model, spec.p0, gamma, eta)
+    tau_e = threshold_exact(model, spec.p0.p1, spec.p0.p2, gamma, eta)
+    tau_a = threshold_approx(model, spec.p0.p1, spec.p0.p2, gamma, eta)
     tau = tau_a if mode == "approx" else tau_e
 
     count = 0
@@ -348,26 +348,28 @@ def verify_lemma(
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     logs = rng.uniform(-band, band, size=(2, samples))
     disp = rng.uniform(-g, g, size=(2, samples))
-    corners = ((g, g), (g, -g), (-g, g), (-g, -g))
+    p1 = spec.p0.p1 * np.exp(logs[0])
+    p2 = spec.p0.p2 * np.exp(logs[1])
 
+    bound = np.empty(samples)
+    g1 = np.empty(samples)
+    g2 = np.empty(samples)
+    for i, (a, b) in enumerate(zip(p1.tolist(), p2.tolist())):
+        bound[i] = threshold_exact(model, a, b, g, eta=1.0)
+        g1[i], g2[i] = spread_gradient(model, a, b)
+    s_p = spread_value(model, p1, p2)
     max_violation = -math.inf
     max_remainder = 0.0
     max_ratio = 0.0
-    for i in range(samples):
-        p = PricePoint(spec.p0.p1 * math.exp(logs[0, i]), spec.p0.p2 * math.exp(logs[1, i]))
-        bound = threshold_exact(model, p, g, eta=1.0)
-        s_p = model.value(p)
-        grad = spread_gradient(model, p)
-        trials = ((float(disp[0, i]), float(disp[1, i])),) + corners
-        for t1, t2 in trials:
-            d1 = p.p1 * t1
-            d2 = p.p2 * t2
-            q = PricePoint(p.p1 + d1, p.p2 + d2)
-            remainder = abs(model.value(q) - s_p - (float(grad[0]) * d1 + float(grad[1]) * d2))
-            max_violation = max(max_violation, remainder - bound)
-            max_remainder = max(max_remainder, remainder)
-            if bound > 0.0:
-                max_ratio = max(max_ratio, remainder / bound)
+    positive = bound > 0.0
+    # each sample's random displacement, then the four box corners
+    for t1, t2 in ((disp[0], disp[1]), (g, g), (g, -g), (-g, g), (-g, -g)):
+        d1 = p1 * t1
+        d2 = p2 * t2
+        remainder = np.abs(spread_value(model, p1 + d1, p2 + d2) - s_p - (g1 * d1 + g2 * d2))
+        max_violation = max(max_violation, float(np.max(remainder - bound)))
+        max_remainder = max(max_remainder, float(np.max(remainder)))
+        max_ratio = max(max_ratio, float(np.max(remainder[positive] / bound[positive], initial=0.0)))
     return LemmaSummary(
         samples=samples,
         gamma=g,

@@ -1,9 +1,13 @@
-"""Scalar reference for the Monte Carlo simulation: one path, one period at a time.
+"""Scalar references: one path, one period, one price point at a time.
 
-These are the per-trial loops the package ran before its kernels became
-time-major numpy blocks. Tests compare the package against them: the same
-per-trial streams must give the same paths and trade events, with pooled
-sums equal up to summation order.
+The Monte Carlo loops are the per-trial loops the package ran before its
+kernels became time-major numpy blocks. Tests compare the package against
+them: the same per-trial streams must give the same paths and trade events,
+with pooled sums equal up to summation order.
+
+run_backtest is the backtest engine's row-at-a-time loop from before spreads
+and thresholds were evaluated per trade block: it calls the spread API on one
+price point at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +17,15 @@ import math
 import numpy as np
 from scipy import stats
 
-from pairtrade.spread import CointegrationSpread
-from pairtrade.trading import threshold_approx, threshold_exact
+from pairtrade.backtest import LedgerRow
+from pairtrade.estimation import WindowEstimates, estimate_eta, estimate_gamma
+from pairtrade.spread import (
+    CointegrationSpread,
+    DegenerateRegressorError,
+    fit_cointegration,
+    spread_value,
+)
+from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
 
 def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
@@ -104,9 +115,9 @@ def verify_theorem(spec, trials, periods, eta_assumed=None, gamma_assumed=None, 
     gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
     model = CointegrationSpread(spec.beta_true, spec.mu_true)
     if mode == "approx":
-        tau = threshold_approx(model, spec.p0, gamma, eta)
+        tau = threshold_approx(model, spec.p0.p1, spec.p0.p2, gamma, eta)
     else:
-        tau = threshold_exact(model, spec.p0, gamma, eta)
+        tau = threshold_exact(model, spec.p0.p1, spec.p0.p2, gamma, eta)
 
     events = []
     count, total, totsq = 0, 0.0, 0.0
@@ -147,3 +158,58 @@ def verify_theorem(spec, trials, periods, eta_assumed=None, gamma_assumed=None, 
             for i in range(collect_bins)
         )
     return out
+
+
+def run_backtest(series, config, fit_model=fit_cointegration):
+    """Ledger rows of pairtrade.backtest.run_backtest, computed row by row."""
+    n_train = config.window.train_len
+    stride = config.window.trade_len
+    threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
+    value = config.initial_value
+    rows = []
+    model = est = None
+    window_tradeable = False
+    halted = False
+    for k in range(n_train, len(series)):
+        if (k - n_train) % stride == 0:
+            window = series.window(k - n_train, k)
+            try:
+                model = fit_model(window)
+            except DegenerateRegressorError:
+                model = est = None
+                window_tradeable = False
+            else:
+                if config.gamma_override is not None:
+                    gamma = config.gamma_override
+                else:
+                    gamma = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
+                path = [
+                    float(spread_value(model, float(window.p1[j]), float(window.p2[j])))
+                    for j in range(len(window))
+                ]
+                est = WindowEstimates(
+                    float(getattr(model, "beta", math.nan)),
+                    float(getattr(model, "mu", math.nan)),
+                    gamma,
+                    estimate_eta(path),
+                )
+                window_tradeable = gamma < 1.0 and config.leverage * gamma < 1.0
+        p1, p2 = float(series.p1[k]), float(series.p2[k])
+        spread = math.nan if model is None else float(spread_value(model, p1, p2))
+        if window_tradeable and est.tradeable:
+            tau = threshold(model, p1, p2, est.gamma_hat, est.eta_hat)
+        else:
+            tau = math.inf
+        if halted or value <= 0.0:
+            halted = True
+            n1, n2, active = 0.0, 0.0, False
+        else:
+            n1, n2 = allocate(model, p1, p2, spread, tau, value, config.leverage)
+            active = abs(spread) > tau
+        estimates = (math.nan,) * 4 if est is None else (
+            est.beta_hat, est.mu_hat, est.gamma_hat, est.eta_hat
+        )
+        rows.append(LedgerRow(k, series.dates[k], p1, p2, spread, tau, *estimates, n1, n2, value, active))
+        if k + 1 < len(series):
+            value = value + (n1 * (float(series.p1[k + 1]) - p1) + n2 * (float(series.p2[k + 1]) - p2))
+    return rows

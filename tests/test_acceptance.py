@@ -15,11 +15,10 @@ import pytest
 
 from pairtrade.backtest import BacktestConfig, run_backtest
 from pairtrade.cli import main
-from pairtrade.domain import PricePoint, PriceSeries
+from pairtrade.domain import PriceSeries
 from pairtrade.estimation import estimate_eta, estimate_gamma
 from pairtrade.spread import CointegrationSpread, SpreadModel
 from pairtrade.synthetic import OUPairSpec, generate_pair
-from pairtrade.trading import step_account
 
 GEN = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)
 
@@ -67,17 +66,16 @@ class TestAcceptance:
             mu = float(rng.uniform(-2.0, 2.0))
             model = CointegrationSpread(beta, mu)
             p1, p2 = (float(np.exp(rng.uniform(0.0, np.log(1_000.0)))) for _ in range(2))
-            point = PricePoint(p1, p2)
-            grad = model.gradient(point)
-            hess = model.hessian(point)
-            for axis, price in ((0, p1), (1, p2)):
+            grad = model.gradient(p1, p2)
+            h11, _, h22 = model.hessian(p1, p2)
+            for axis, price, h_ii in ((0, p1, h11), (1, p2, h22)):
                 step = price * h
-                lo, hi = _shift(point, axis, -step), _shift(point, axis, step)
-                fd_g = (model.value(hi) - model.value(lo)) / (2.0 * step)
+                lo, hi = _shift(p1, p2, axis, -step), _shift(p1, p2, axis, step)
+                fd_g = (model.value(*hi) - model.value(*lo)) / (2.0 * step)
                 worst_g = max(worst_g, abs(fd_g - grad[axis]) / max(abs(grad[axis]), 1e-12))
-                fd_h = (model.gradient(hi)[axis] - model.gradient(lo)[axis]) / (2.0 * step)
-                denom = max(abs(hess[axis, axis]), 1e-12)
-                worst_h = max(worst_h, abs(fd_h - hess[axis, axis]) / denom)
+                fd_h = (model.gradient(*hi)[axis] - model.gradient(*lo)[axis]) / (2.0 * step)
+                denom = max(abs(h_ii), 1e-12)
+                worst_h = max(worst_h, abs(fd_h - h_ii) / denom)
         ok = worst_g <= 1e-6 and worst_h <= 1e-5
         with capsys.disabled():
             _report(3, ok, f"worst gradient rel err {worst_g:.3g}, hessian {worst_h:.3g}")
@@ -243,10 +241,10 @@ class TestAcceptance:
             )
 
 
-def _shift(point: PricePoint, axis: int, step: float) -> PricePoint:
+def _shift(p1: float, p2: float, axis: int, step: float) -> tuple[float, float]:
     if axis == 0:
-        return PricePoint(point.p1 + step, point.p2)
-    return PricePoint(point.p1, point.p2 + step)
+        return p1 + step, p2
+    return p1, p2 + step
 
 
 class _TrendModel(SpreadModel):
@@ -255,14 +253,15 @@ class _TrendModel(SpreadModel):
     def __init__(self, level):
         self.level = level
 
-    def value(self, p):
-        return math.log(p.p1) - self.level
+    def value(self, p1, p2):
+        return np.log(p1) - self.level
 
-    def gradient(self, p):
-        return np.array([1.0 / p.p1, 0.0])
+    def gradient(self, p1, p2):
+        return 1.0 / np.asarray(p1, dtype=float), 0.0
 
-    def hessian(self, p):
-        return np.array([[-1.0 / (p.p1 * p.p1), 0.0], [0.0, 0.0]])
+    def hessian(self, p1, p2):
+        p1 = np.asarray(p1, dtype=float)
+        return -1.0 / (p1 * p1), 0.0, 0.0
 
 
 def _fit_trend(window):

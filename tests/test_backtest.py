@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle
 from pairtrade.backtest import (
     BacktestConfig,
     BacktestReport,
@@ -24,9 +25,8 @@ from pairtrade.backtest import (
 )
 from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.estimation import WindowConfig
-from pairtrade.spread import CointegrationSpread, SpreadModel
+from pairtrade.spread import CointegrationSpread, SpreadModel, fit_cointegration
 from pairtrade.synthetic import OUPairSpec, generate_pair
-from pairtrade.trading import step_account
 
 BASE_SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)
 
@@ -83,8 +83,7 @@ class TestEngineAccounting:
     def test_ledger_value_consistency_exact(self):
         rows, _ = run_backtest(synthetic_series(seed=2, length=300))
         for a, b in zip(rows, rows[1:]):
-            dv = step_account((a.n1, a.n2), (b.p1 - a.p1, b.p2 - a.p2))
-            assert b.value == a.value + dv
+            assert b.value == a.value + (a.n1 * (b.p1 - a.p1) + a.n2 * (b.p2 - a.p2))
 
     def test_first_row_at_train_len(self):
         cfg = BacktestConfig(window=WindowConfig(train_len=40, trade_len=5))
@@ -184,18 +183,30 @@ class _TrendModel(SpreadModel):
     def __init__(self, level):
         self.level = level
 
-    def value(self, p):
-        return math.log(p.p1) - self.level
+    def value(self, p1, p2):
+        return np.log(p1) - self.level
 
-    def gradient(self, p):
-        return np.array([1.0 / p.p1, 0.0])
+    def gradient(self, p1, p2):
+        return 1.0 / np.asarray(p1, dtype=float), 0.0
 
-    def hessian(self, p):
-        return np.array([[-1.0 / (p.p1 * p.p1), 0.0], [0.0, 0.0]])
+    def hessian(self, p1, p2):
+        p1 = np.asarray(p1, dtype=float)
+        return -1.0 / (p1 * p1), 0.0, 0.0
 
 
 def _fit_trend(window):
     return _TrendModel(float(np.min(np.log(window.p1))) - 1.0)
+
+
+def _fit_level(window):
+    return CointegrationSpread(0.0, float(np.mean(np.log(window.p2))))
+
+
+BANKRUPTCY = (
+    make_series([100.0] * 6, [10.0, 9.0, 11.0, 30.0, 90.0, 90.0]),
+    BacktestConfig(window=WindowConfig(train_len=3, trade_len=1)),
+    _fit_level,
+)
 
 
 def flat_p1_series():
@@ -250,14 +261,7 @@ class TestDegenerateConditions:
     def test_bankruptcy_halts_trading(self):
         # quiet training window, then p2 explodes against a full short: the
         # account goes non-positive once and stays frozen afterwards
-        def fit_level(window):
-            return CointegrationSpread(0.0, float(np.mean(np.log(window.p2))))
-
-        p1 = [100.0] * 6
-        p2 = [10.0, 9.0, 11.0, 30.0, 90.0, 90.0]
-        series = make_series(p1, p2)
-        cfg = BacktestConfig(window=WindowConfig(train_len=3, trade_len=1))
-        rows, report = run_backtest(series, cfg, fit_model=fit_level)
+        rows, report = run_backtest(*BANKRUPTCY)
         assert rows[0].active
         assert rows[1].value < 0.0
         assert not rows[1].active and not rows[2].active
@@ -277,6 +281,53 @@ class TestDegenerateConditions:
         jump_rows = [r for r in rows if r.gamma >= 1.0]
         assert jump_rows
         assert all(not r.active for r in jump_rows)
+
+
+def _column(rows, name):
+    return np.array([getattr(r, name) for r in rows])
+
+
+class TestScalarOracle:
+    """The block engine against scalar_oracle.run_backtest, the row-at-a-time
+    loop it replaced. k, dates, prices, beta, mu, gamma, holdings, value and
+    active must be equal. spread, eta and threshold may differ in the last
+    bits: the engine takes logs of whole price arrays and the oracle of one
+    float at a time, and numpy may route the two through different log
+    implementations (math.log and np.log already disagree by an ulp on about
+    1 in 2,000 values), so the spread gets an absolute 1e-14 (about 16 ulps
+    of a log price near 5) and eta and threshold, which divide sums over a
+    window of such spreads, a relative 1e-11."""
+
+    EXACT = ("k", "date", "p1", "p2", "beta", "mu", "gamma", "n1", "n2", "value", "active")
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: (synthetic_series(seed=4, length=400), BacktestConfig(),
+                                  fit_cointegration), id="synthetic-approx"),
+            pytest.param(lambda: (synthetic_series(seed=4, length=400),
+                                  BacktestConfig(threshold_mode="exact", leverage=2.0),
+                                  fit_cointegration), id="synthetic-exact"),
+            pytest.param(lambda: (flat_p1_series(), BacktestConfig(), fit_cointegration),
+                         id="flat-p1"),
+            pytest.param(lambda: BANKRUPTCY, id="bankruptcy"),
+            pytest.param(lambda: (make_series(100.0 * np.power(1.01, np.arange(80)),
+                                              np.full(80, 50.0)),
+                                  BacktestConfig(), _fit_trend), id="trend-model"),
+        ],
+    )
+    def test_matches_row_loop(self, case):
+        series, cfg, fit = case()
+        rows, report = run_backtest(series, cfg, fit_model=fit)
+        ref = scalar_oracle.run_backtest(series, cfg, fit)
+        assert len(rows) == len(ref)
+        for name in self.EXACT:
+            np.testing.assert_array_equal(_column(rows, name), _column(ref, name), err_msg=name)
+        np.testing.assert_allclose(_column(rows, "spread"), _column(ref, "spread"), rtol=0, atol=1e-14)
+        for name in ("eta", "threshold"):
+            np.testing.assert_allclose(_column(rows, name), _column(ref, name), rtol=1e-11, err_msg=name)
+        assert report.final_value == ref[-1].value
+        assert report.active_periods == sum(r.active for r in ref)
 
 
 class TestExports:

@@ -56,9 +56,8 @@ class TestOuRecursion:
 class TestTradeScan:
     def test_matches_reference_loop(self):
         # independent reimplementation with the allocation primitives
-        from pairtrade.domain import PricePoint
         from pairtrade.spread import CointegrationSpread
-        from pairtrade.trading import allocate, step_account
+        from pairtrade.trading import allocate
 
         p1, p2, s = _block(300, paths=2)
         tau, lev, v0 = 0.00625, 1.0, 10_000.0
@@ -69,13 +68,10 @@ class TestTradeScan:
         for j in range(p1.shape[1]):
             value = v0
             for k in range(len(p1) - 1):
-                point = PricePoint(float(p1[k, j]), float(p2[k, j]))
-                dec = allocate(model, point, float(s[k, j]), tau, value, lev)
-                if dec.active:
-                    step = step_account(
-                        dec.holdings,
-                        (float(p1[k + 1, j]) - point.p1, float(p2[k + 1, j]) - point.p2),
-                    )
+                a, b = float(p1[k, j]), float(p2[k, j])
+                n1, n2 = allocate(model, a, b, float(s[k, j]), tau, value, lev)
+                if abs(float(s[k, j])) > tau:
+                    step = n1 * (float(p1[k + 1, j]) - a) + n2 * (float(p2[k + 1, j]) - b)
                     expect_dv.append(step)
                     expect_sabs.append(abs(float(s[k, j])))
                     value += step

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrade.domain import DomainError, LengthError, PricePoint, PriceSeries
+from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.spread import (
     CointegrationSpread,
     DegenerateRegressorError,
@@ -33,46 +33,46 @@ betas = st.one_of(
 any_betas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
-def fd_gradient(model, p: PricePoint, rel_step: float = 1e-6) -> np.ndarray:
-    h1 = p.p1 * rel_step
-    h2 = p.p2 * rel_step
-    g1 = (
-        model.value(PricePoint(p.p1 + h1, p.p2)) - model.value(PricePoint(p.p1 - h1, p.p2))
-    ) / (2.0 * h1)
-    g2 = (
-        model.value(PricePoint(p.p1, p.p2 + h2)) - model.value(PricePoint(p.p1, p.p2 - h2))
-    ) / (2.0 * h2)
+def fd_gradient(model, p1: float, p2: float, rel_step: float = 1e-6) -> np.ndarray:
+    h1 = p1 * rel_step
+    h2 = p2 * rel_step
+    g1 = (model.value(p1 + h1, p2) - model.value(p1 - h1, p2)) / (2.0 * h1)
+    g2 = (model.value(p1, p2 + h2) - model.value(p1, p2 - h2)) / (2.0 * h2)
     return np.array([g1, g2])
 
 
-def fd_hessian(model, p: PricePoint, rel_step: float = 1e-6) -> np.ndarray:
-    h1 = p.p1 * rel_step
-    h2 = p.p2 * rel_step
-    ga = model.gradient(PricePoint(p.p1 + h1, p.p2))
-    gb = model.gradient(PricePoint(p.p1 - h1, p.p2))
-    gc = model.gradient(PricePoint(p.p1, p.p2 + h2))
-    gd = model.gradient(PricePoint(p.p1, p.p2 - h2))
+def fd_hessian(model, p1: float, p2: float, rel_step: float = 1e-6) -> np.ndarray:
+    h1 = p1 * rel_step
+    h2 = p2 * rel_step
+    ga = model.gradient(p1 + h1, p2)
+    gb = model.gradient(p1 - h1, p2)
+    gc = model.gradient(p1, p2 + h2)
+    gd = model.gradient(p1, p2 - h2)
     col1 = (np.asarray(ga) - np.asarray(gb)) / (2.0 * h1)
     col2 = (np.asarray(gc) - np.asarray(gd)) / (2.0 * h2)
     return np.column_stack([col1, col2])
 
 
+def hessian_matrix(model, p1: float, p2: float) -> np.ndarray:
+    h11, h12, h22 = model.hessian(p1, p2)
+    return np.array([[h11, h12], [h12, h22]], dtype=float)
+
+
 class TestValue:
     def test_log_points(self):
         m = CointegrationSpread(beta=2.0, mu=0.5)
-        p = PricePoint(math.e, math.e**2)
         # log e^2 - 2 log e - 0.5 = -0.5
-        assert m.value(p) == pytest.approx(-0.5, abs=1e-12)
+        assert m.value(math.e, math.e**2) == pytest.approx(-0.5, abs=1e-12)
 
     def test_identity_pair_zero(self):
         m = CointegrationSpread(beta=1.0, mu=0.0)
         for x in (0.5, 1.0, 37.2):
-            assert m.value(PricePoint(x, x)) == 0.0
+            assert m.value(x, x) == 0.0
 
     def test_beta_zero_ignores_p1(self):
         m = CointegrationSpread(beta=0.0, mu=0.0)
-        assert m.value(PricePoint(123.0, 1.0)) == 0.0
-        assert m.value(PricePoint(5.0, math.e)) == pytest.approx(1.0, rel=1e-15)
+        assert m.value(123.0, 1.0) == 0.0
+        assert m.value(5.0, math.e) == pytest.approx(1.0, rel=1e-15)
 
     def test_non_finite_params_rejected(self):
         with pytest.raises(DomainError):
@@ -84,13 +84,13 @@ class TestValue:
 class TestGradient:
     def test_hand_example(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        g = spread_gradient(m, PricePoint(100.0, 50.0))
+        g = spread_gradient(m, 100.0, 50.0)
         assert g[0] == pytest.approx(-0.02, rel=1e-15)
         assert g[1] == pytest.approx(0.02, rel=1e-15)
 
     def test_beta_zero(self):
         m = CointegrationSpread(beta=0.0, mu=0.0)
-        g = spread_gradient(m, PricePoint(100.0, 50.0))
+        g = spread_gradient(m, 100.0, 50.0)
         assert g[0] == 0.0
         assert g[1] == pytest.approx(1.0 / 50.0, rel=1e-15)
 
@@ -98,112 +98,73 @@ class TestGradient:
     @settings(max_examples=150)
     def test_matches_finite_differences(self, beta, lp1, lp2):
         m = CointegrationSpread(beta=beta, mu=0.3)
-        p = PricePoint(math.exp(lp1), math.exp(lp2))
-        g = np.asarray(m.gradient(p))
-        fd = fd_gradient(m, p)
+        p1, p2 = math.exp(lp1), math.exp(lp2)
+        g = np.asarray(m.gradient(p1, p2))
+        fd = fd_gradient(m, p1, p2)
         scale = np.maximum(np.abs(fd), 1e-9)
         assert np.all(np.abs(g - fd) / scale < 1e-6)
 
     def test_never_stationary(self):
         # second coordinate is 1/p2 > 0 for every positive price
         m = CointegrationSpread(beta=0.0, mu=0.0)
-        g = spread_gradient(m, PricePoint(1e6, 1e-6))
+        g = spread_gradient(m, 1e6, 1e-6)
         assert g[1] > 0.0
 
 
 class _FlatModel(SpreadModel):
     """Constant spread; gradient vanishes everywhere. Test double."""
 
-    def value(self, p):
+    def value(self, p1, p2):
         return 1.0
 
-    def gradient(self, p):
-        return np.zeros(2)
+    def gradient(self, p1, p2):
+        return 0.0, 0.0
 
-    def hessian(self, p):
-        return np.zeros((2, 2))
-
-
-class _AsymmetricModel(SpreadModel):
-    """Deliberately broken Hessian symmetry. Test double."""
-
-    def value(self, p):
-        return p.p1 * p.p2
-
-    def gradient(self, p):
-        return np.array([p.p2, p.p1])
-
-    def hessian(self, p):
-        return np.array([[0.0, 1.0], [0.5, 0.0]])
+    def hessian(self, p1, p2):
+        return 0.0, 0.0, 0.0
 
 
 class TestWrappers:
     def test_spread_value(self):
         m = CointegrationSpread(beta=2.0, mu=0.5)
-        p = PricePoint(math.e, math.e**2)
-        assert spread_value(m, p) == m.value(p)
+        assert spread_value(m, math.e, math.e**2) == m.value(math.e, math.e**2)
 
     def test_stationary_point_rejected(self):
         with pytest.raises(Exception) as exc_info:
-            spread_gradient(_FlatModel(), PricePoint(1.0, 1.0))
+            spread_gradient(_FlatModel(), 1.0, 1.0)
         assert "stationar" in str(exc_info.value).lower() or "vanish" in str(exc_info.value).lower()
-
-    def test_asymmetric_hessian_rejected(self):
-        with pytest.raises(DomainError):
-            spread_hessian(_AsymmetricModel(), PricePoint(1.0, 1.0))
 
 
 class TestHessian:
     def test_hand_example(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        h = spread_hessian(m, PricePoint(100.0, 50.0))
-        assert h[0, 0] == pytest.approx(2.0 / 100.0**2, rel=1e-15)
-        assert h[1, 1] == pytest.approx(-1.0 / 50.0**2, rel=1e-15)
-        assert h[0, 1] == 0.0 and h[1, 0] == 0.0
+        h11, h12, h22 = spread_hessian(m, 100.0, 50.0)
+        assert h11 == pytest.approx(2.0 / 100.0**2, rel=1e-15)
+        assert h22 == pytest.approx(-1.0 / 50.0**2, rel=1e-15)
+        assert h12 == 0.0
 
     @given(betas, log_prices, log_prices)
     @settings(max_examples=150)
     def test_matches_finite_differences(self, beta, lp1, lp2):
         m = CointegrationSpread(beta=beta, mu=-1.2)
-        p = PricePoint(math.exp(lp1), math.exp(lp2))
-        h = np.asarray(m.hessian(p))
-        fd = fd_hessian(m, p)
+        p1, p2 = math.exp(lp1), math.exp(lp2)
+        h = hessian_matrix(m, p1, p2)
+        fd = fd_hessian(m, p1, p2)
         scale = np.maximum(np.abs(fd), 1e-9)
         assert np.all(np.abs(h - fd) / scale < 1e-5)
 
     @given(any_betas, log_prices, log_prices)
     @settings(max_examples=100)
     def test_entries_match_hessian(self, beta, lp1, lp2):
-        # the vectorized override must agree with the scalar hessian
+        # the entries over price arrays must agree with the scalar hessian
         m = CointegrationSpread(beta=beta, mu=0.0)
         p1 = math.exp(lp1)
         p2 = math.exp(lp2)
-        h11, h12, h22 = m.hessian_entries(np.array([p1]), np.array([p2]))
-        h = m.hessian(PricePoint(p1, p2))
+        h11, h12, h22 = m.hessian(np.array([p1]), np.array([p2]))
+        h = hessian_matrix(m, p1, p2)
         assert float(h11[0]) == h[0, 0]
         assert float(np.asarray(h12).reshape(-1)[0] if np.ndim(h12) else h12) == h[0, 1]
         assert float(h22[0]) == h[1, 1]
-
-    def test_generic_entries_fallback(self):
-        # the ABC default loops over points; exercise it through a test double
-        class _Cubic(SpreadModel):
-            def value(self, p):
-                return p.p1**3 + p.p2**2
-
-            def gradient(self, p):
-                return np.array([3.0 * p.p1**2, 2.0 * p.p2])
-
-            def hessian(self, p):
-                return np.array([[6.0 * p.p1, 0.0], [0.0, 2.0]])
-
-        m = _Cubic()
-        p1 = np.array([[1.0], [2.0]])
-        p2 = np.array([[3.0, 4.0]])
-        h11, h12, h22 = m.hessian_entries(p1, p2)
-        assert h11.shape == (2, 2)
-        assert np.array_equal(h11[:, 0], [6.0, 12.0])
-        assert np.all(h12 == 0.0)
-        assert np.all(h22 == 2.0)
 
 
 class TestFit:
@@ -216,7 +177,7 @@ class TestFit:
         assert m.beta == pytest.approx(2.0, rel=1e-12)
         assert m.mu == pytest.approx(0.5, rel=1e-12)
         for i in range(5):
-            assert abs(m.value(series.point(i))) < 1e-12
+            assert abs(m.value(series.p1[i], series.p2[i])) < 1e-12
 
     def test_too_short(self):
         series = PriceSeries(["a", "b"], [1.0, 2.0], [1.0, 2.0])
@@ -264,6 +225,6 @@ class TestFit:
             [50.0, 51.0, 49.5, 52.0],
         )
         m = fit_cointegration(series)
-        vals = m.values_along(series)
+        vals = m.value(series.p1, series.p2)
         for i in range(4):
-            assert vals[i] == pytest.approx(m.value(series.point(i)), abs=1e-14)
+            assert vals[i] == pytest.approx(m.value(float(series.p1[i]), float(series.p2[i])), abs=1e-14)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairtrade.domain import DomainError, LengthError, PricePoint, return_arrays
+from pairtrade.domain import DomainError, LengthError, return_arrays
 from pairtrade.estimation import estimate_eta
 from pairtrade.spread import CointegrationSpread
 from pairtrade.synthetic import (
@@ -91,7 +91,7 @@ class TestGeneratePair:
         assert np.all(series.p1 == series.p1[0])
         assert np.all(series.p2 == series.p2[0])
         m = CointegrationSpread(2.0, 0.0)
-        assert abs(m.value(series.point(3))) < 1e-12
+        assert abs(m.value(series.p1[3], series.p2[3])) < 1e-12
 
     def test_returns_inside_cap(self):
         # large sweep across seeds: the cap is a hard guarantee, not a tendency
@@ -104,7 +104,7 @@ class TestGeneratePair:
         spec = make_spec(seed=5)
         series = generate_pair(spec, 500)
         m = CointegrationSpread(spec.beta_true, spec.mu_true)
-        spread = m.values_along(series)
+        spread = m.value(series.p1, series.p2)
         # regenerate the injected state path with the same stream
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         uv = rng.uniform(-1.0, 1.0, size=(2, 499))
@@ -118,7 +118,7 @@ class TestGeneratePair:
         spec = make_spec(theta=0.2, seed=1)
         series = generate_pair(spec, 100_000)
         m = CointegrationSpread(spec.beta_true, spec.mu_true)
-        eta = estimate_eta(m.values_along(series))
+        eta = estimate_eta(m.value(series.p1, series.p2))
         assert 0.18 <= eta <= 0.22
 
     def test_eta_consistency_improves_with_length(self):
@@ -131,7 +131,7 @@ class TestGeneratePair:
             for seed in range(50):
                 series = generate_pair(make_spec(theta=theta, seed=seed), n)
                 m = CointegrationSpread(2.0, 0.0)
-                devs.append(abs(estimate_eta(m.values_along(series)) - theta))
+                devs.append(abs(estimate_eta(m.value(series.p1, series.p2)) - theta))
             errs[n] = float(np.median(devs))
         assert errs[10_000] < errs[1_000]
         assert errs[100_000] < errs[10_000]
@@ -255,9 +255,8 @@ class TestVerifyLemma:
 
     def test_zero_displacement_zero_remainder(self):
         m = CointegrationSpread(2.0, 0.0)
-        p = PricePoint(100.0, 50.0)
-        g = np.asarray(m.gradient(p))
-        remainder = abs(m.value(p) - m.value(p) - (g[0] * 0.0 + g[1] * 0.0))
+        g = m.gradient(100.0, 50.0)
+        remainder = abs(m.value(100.0, 50.0) - m.value(100.0, 50.0) - (g[0] * 0.0 + g[1] * 0.0))
         assert remainder == 0.0
 
     def test_quadratic_scaling_in_gamma(self):

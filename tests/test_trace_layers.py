@@ -1,0 +1,47 @@
+"""The program keeps every name the benchmark's tracer wraps.
+
+perfbench/tracing.py wraps public functions by their dotted names and counts
+PricePoint constructions; a renamed or deleted one is reported absent, and
+the traced run then lacks per-layer metrics that BENCHMARK.json declares.
+The tracer is loaded unchanged and run around one small CLI backtest.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+from pairtrade.cli import main
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# metrics the benchmark runner adds to the tracer's snapshot
+RUNNER_METRICS = {"import.scipy_stats_s", "trace.overhead_s", "host.calib_s"}
+ROWS, TRAIN_LEN, TRADE_LEN = 200, 40, 5
+
+
+def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
+    tracing, inputs = perfbench("tracing"), perfbench("inputs")
+    csv_path = tmp_path / "pair.csv"
+    spec = inputs.PairSpec(drift=0.0, **inputs.BACKTEST_PAIR)
+    inputs.write_csv(csv_path, *inputs.simulate(spec, ROWS, np.random.default_rng(3)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["backtest", "--input", str(csv_path), "--out-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+
+    assert tracer.absent == []
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    assert set(snap) | RUNNER_METRICS == declared
+    # spreads go in over price arrays: one call per training window, one per
+    # trade block, and no PricePoint per row
+    refits = len(range(TRAIN_LEN, ROWS, TRADE_LEN))
+    assert snap["spread.fit_cointegration_calls"] == refits
+    assert snap["spread.spread_value_calls"] == 2 * refits
+    assert snap["domain.PricePoint_calls"] == 0
+    assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN

@@ -18,17 +18,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrade.domain import DomainError, PricePoint
-from pairtrade.spread import CointegrationSpread, StationaryPointError
-from pairtrade.trading import (
-    TradeDecision,
-    allocate,
-    step_account,
-    threshold_approx,
-    threshold_exact,
-)
+from pairtrade.domain import DomainError
+from pairtrade.spread import CointegrationSpread, SpreadModel, StationaryPointError
+from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
-P = PricePoint(100.0, 50.0)
+P = (100.0, 50.0)
+
+
+class _RatioSpread(SpreadModel):
+    """S = p2 / p1, whose Hessian has a cross term. Test double."""
+
+    def value(self, p1, p2):
+        return np.asarray(p2) / p1
+
+    def gradient(self, p1, p2):
+        p1 = np.asarray(p1, dtype=float)
+        return -np.asarray(p2) / (p1 * p1), 1.0 / p1
+
+    def hessian(self, p1, p2):
+        p1 = np.asarray(p1, dtype=float)
+        return 2.0 * np.asarray(p2) / (p1 * p1 * p1), -1.0 / (p1 * p1), 0.0
 
 
 def closed_form_exact(beta: float, g: float, eta: float) -> float:
@@ -44,22 +53,22 @@ class TestThresholdApprox:
     def test_hand_example(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         # gamma^2 |1 - beta| / (2 eta) = 0.0025 * 1 / 0.2
-        assert threshold_approx(m, P, 0.05, 0.1) == pytest.approx(0.0125, abs=1e-12)
+        assert threshold_approx(m, *P, 0.05, 0.1) == pytest.approx(0.0125, abs=1e-12)
 
     def test_beta_one_zero_threshold(self):
         m = CointegrationSpread(beta=1.0, mu=0.0)
-        assert threshold_approx(m, P, 0.05, 0.1) == pytest.approx(0.0, abs=1e-18)
+        assert threshold_approx(m, *P, 0.05, 0.1) == pytest.approx(0.0, abs=1e-18)
 
     @pytest.mark.parametrize("eta", [0.0, -0.3])
     def test_non_positive_eta_infinite(self, eta):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        assert threshold_approx(m, P, 0.05, eta) == math.inf
+        assert threshold_approx(m, *P, 0.05, eta) == math.inf
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.7, math.nan])
     def test_gamma_domain(self, gamma):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         with pytest.raises(DomainError):
-            threshold_approx(m, P, gamma, 0.1)
+            threshold_approx(m, *P, gamma, 0.1)
 
     @given(
         st.floats(min_value=-4.0, max_value=4.0),
@@ -71,23 +80,22 @@ class TestThresholdApprox:
         # p' H(p) p = beta - 1 for every price, so the approx threshold
         # cannot depend on where it is evaluated
         m = CointegrationSpread(beta=beta, mu=0.0)
-        q = PricePoint(math.exp(lp1), math.exp(lp2))
-        a = threshold_approx(m, P, 0.05, 0.1)
-        b = threshold_approx(m, q, 0.05, 0.1)
+        a = threshold_approx(m, *P, 0.05, 0.1)
+        b = threshold_approx(m, math.exp(lp1), math.exp(lp2), 0.05, 0.1)
         assert b == pytest.approx(a, rel=1e-10, abs=1e-18)
 
 
 class TestThresholdExact:
     def test_hand_example(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        got = threshold_exact(m, P, 0.05, 0.1)
+        got = threshold_exact(m, *P, 0.05, 0.1)
         # 2 * 0.0025 / (0.9025 * 0.2)
         assert got == pytest.approx(0.0277008310249, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, 0.3, -0.7, -2.5])
     def test_matches_closed_form(self, beta):
         m = CointegrationSpread(beta=beta, mu=0.1)
-        got = threshold_exact(m, P, 0.05, 0.1)
+        got = threshold_exact(m, *P, 0.05, 0.1)
         assert got == pytest.approx(closed_form_exact(beta, 0.05, 0.1), rel=1e-2)
 
     @pytest.mark.parametrize("beta", [2.0, 0.3])
@@ -95,19 +103,19 @@ class TestThresholdExact:
         # the worst point sits at a box corner/extreme, which the grid always
         # contains, so agreement is far tighter than the 1% grid allowance
         m = CointegrationSpread(beta=beta, mu=0.0)
-        got = threshold_exact(m, P, 0.05, 0.1)
+        got = threshold_exact(m, *P, 0.05, 0.1)
         assert got == pytest.approx(closed_form_exact(beta, 0.05, 0.1), rel=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0])
     def test_non_positive_eta_infinite(self, eta):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        assert threshold_exact(m, P, 0.05, eta) == math.inf
+        assert threshold_exact(m, *P, 0.05, eta) == math.inf
 
     def test_price_independent_for_log_linear(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        a = threshold_exact(m, PricePoint(100.0, 50.0), 0.05, 0.1)
-        b = threshold_exact(m, PricePoint(3.0, 7000.0), 0.05, 0.1)
-        c = threshold_exact(m, PricePoint(0.02, 0.6), 0.05, 0.1)
+        a = threshold_exact(m, 100.0, 50.0, 0.05, 0.1)
+        b = threshold_exact(m, 3.0, 7000.0, 0.05, 0.1)
+        c = threshold_exact(m, 0.02, 0.6, 0.05, 0.1)
         assert b == pytest.approx(a, rel=1e-12)
         assert c == pytest.approx(a, rel=1e-12)
 
@@ -116,7 +124,7 @@ class TestThresholdExact:
         # scan can only be larger for this family
         for beta in (2.0, 0.0, -0.7):
             m = CointegrationSpread(beta=beta, mu=0.0)
-            assert threshold_exact(m, P, 0.05, 0.1) >= threshold_approx(m, P, 0.05, 0.1)
+            assert threshold_exact(m, *P, 0.05, 0.1) >= threshold_approx(m, *P, 0.05, 0.1)
 
     @given(
         st.floats(min_value=-4.0, max_value=4.0),
@@ -126,116 +134,115 @@ class TestThresholdExact:
     @settings(max_examples=100)
     def test_non_negative(self, beta, gamma, eta):
         m = CointegrationSpread(beta=beta, mu=0.0)
-        assert threshold_exact(m, P, gamma, eta) >= 0.0
+        assert threshold_exact(m, *P, gamma, eta) >= 0.0
 
     def test_gamma_domain(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         with pytest.raises(DomainError):
-            threshold_exact(m, P, 1.0, 0.1)
+            threshold_exact(m, *P, 1.0, 0.1)
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    @pytest.mark.parametrize("eta", [0.1, -0.1])
+    def test_arrays_match_scalar_calls(self, threshold, eta):
+        # elementwise over price arrays, bit for bit, also for a spread whose
+        # Hessian has a cross term
+        p1 = np.array([100.0, 3.0, 0.02, 57.0])
+        p2 = np.array([50.0, 7000.0, 0.6, 57.0])
+        for m in (CointegrationSpread(beta=-0.7, mu=0.1), _RatioSpread()):
+            got = threshold(m, p1, p2, 0.05, eta)
+            want = [threshold(m, a, b, 0.05, eta) for a, b in zip(p1.tolist(), p2.tolist())]
+            assert isinstance(want[0], float)
+            assert got.tolist() == want
 
     def test_grid_points_domain(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         with pytest.raises(DomainError):
-            threshold_exact(m, P, 0.05, 0.1, grid_points=1)
+            threshold_exact(m, *P, 0.05, 0.1, grid_points=1)
 
 
 class TestAllocate:
     def test_hand_example(self):
         # |g1| p1 + |g2| p2 = 0.02*100 + 0.02*50 = 3; lambda = 10000/3
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        dec = allocate(m, P, spread=0.1, threshold=0.05, account_value=10_000.0)
-        assert dec.active
-        assert dec.lam == pytest.approx(10_000.0 / 3.0, rel=1e-12)
-        assert dec.holdings[0] == pytest.approx(10_000.0 / 3.0 * 0.02, rel=1e-12)
-        assert dec.holdings[1] == pytest.approx(-10_000.0 / 3.0 * 0.02, rel=1e-12)
+        n1, n2 = allocate(m, *P, spread=0.1, threshold=0.05, account_value=10_000.0)
+        assert n1 == pytest.approx(10_000.0 / 3.0 * 0.02, rel=1e-12)
+        assert n2 == pytest.approx(-10_000.0 / 3.0 * 0.02, rel=1e-12)
 
     def test_full_investment(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         for lev in (1.0, 0.5, 2.0):
-            dec = allocate(m, P, 0.1, 0.05, 10_000.0, leverage=lev)
-            gross = abs(dec.holdings[0]) * P.p1 + abs(dec.holdings[1]) * P.p2
+            n1, n2 = allocate(m, *P, 0.1, 0.05, 10_000.0, leverage=lev)
+            gross = abs(n1) * P[0] + abs(n2) * P[1]
             assert gross == pytest.approx(lev * 10_000.0, rel=1e-9)
 
     def test_inactive_at_threshold(self):
         # the rule is a strict inequality: |spread| must exceed the threshold
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        dec = allocate(m, P, 0.05, 0.05, 10_000.0)
-        assert not dec.active
-        assert dec.holdings == (0.0, 0.0)
+        assert allocate(m, *P, 0.05, 0.05, 10_000.0) == (0.0, 0.0)
 
     def test_inactive_on_infinite_threshold(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        dec = allocate(m, P, 12.0, math.inf, 10_000.0)
-        assert not dec.active
+        assert allocate(m, *P, 12.0, math.inf, 10_000.0) == (0.0, 0.0)
 
     def test_sign_flip(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        pos = allocate(m, P, 0.1, 0.05, 10_000.0)
-        neg = allocate(m, P, -0.1, 0.05, 10_000.0)
-        assert pos.holdings[0] == -neg.holdings[0]
-        assert pos.holdings[1] == -neg.holdings[1]
+        pos = allocate(m, *P, 0.1, 0.05, 10_000.0)
+        neg = allocate(m, *P, -0.1, 0.05, 10_000.0)
+        assert pos[0] == -neg[0]
+        assert pos[1] == -neg[1]
 
     def test_sign_pattern_matches_rule(self):
         # holdings must point along -sign(S) grad S componentwise
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        dec = allocate(m, P, 0.1, 0.05, 10_000.0)
-        g = m.gradient(P)
-        for n_i, g_i in zip(dec.holdings, g):
+        holdings = allocate(m, *P, 0.1, 0.05, 10_000.0)
+        g = m.gradient(*P)
+        for n_i, g_i in zip(holdings, g):
             assert math.copysign(1.0, n_i) == math.copysign(1.0, -1.0 * g_i)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100)
     def test_scale_equivariance_in_value(self, c):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        base = allocate(m, P, 0.1, 0.05, 10_000.0)
-        scaled = allocate(m, P, 0.1, 0.05, 10_000.0 * c)
-        assert scaled.holdings[0] == pytest.approx(base.holdings[0] * c, rel=1e-12)
-        assert scaled.holdings[1] == pytest.approx(base.holdings[1] * c, rel=1e-12)
+        base = allocate(m, *P, 0.1, 0.05, 10_000.0)
+        scaled = allocate(m, *P, 0.1, 0.05, 10_000.0 * c)
+        assert scaled[0] == pytest.approx(base[0] * c, rel=1e-12)
+        assert scaled[1] == pytest.approx(base[1] * c, rel=1e-12)
 
     def test_validation(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         with pytest.raises(DomainError):
-            allocate(m, P, 0.1, 0.05, 0.0)
+            allocate(m, *P, 0.1, 0.05, 0.0)
         with pytest.raises(DomainError):
-            allocate(m, P, 0.1, 0.05, 10_000.0, leverage=0.0)
+            allocate(m, *P, 0.1, 0.05, 10_000.0, leverage=0.0)
         with pytest.raises(DomainError):
-            allocate(m, P, 0.1, -0.01, 10_000.0)
+            allocate(m, *P, 0.1, -0.01, 10_000.0)
         with pytest.raises(DomainError):
-            allocate(m, P, 0.1, math.nan, 10_000.0)
+            allocate(m, *P, 0.1, math.nan, 10_000.0)
 
     def test_stationary_gradient_rejected(self):
-        from pairtrade.spread import SpreadModel
-
         class _Flat(SpreadModel):
-            def value(self, p):
+            def value(self, p1, p2):
                 return 5.0
 
-            def gradient(self, p):
-                return np.zeros(2)
+            def gradient(self, p1, p2):
+                return 0.0, 0.0
 
-            def hessian(self, p):
-                return np.zeros((2, 2))
+            def hessian(self, p1, p2):
+                return 0.0, 0.0, 0.0
 
         with pytest.raises(StationaryPointError):
-            allocate(_Flat(), P, 10.0, 0.5, 10_000.0)
+            allocate(_Flat(), *P, 10.0, 0.5, 10_000.0)
 
 
 class TestStepAccount:
-    def test_hand_example(self):
-        # long 10 of p1 (+2 each), short 5 of p2 (-4 each): 20 + 20 = 40
-        assert step_account((10.0, -5.0), (2.0, -4.0)) == 40.0
-
-    def test_flat_is_zero(self):
-        assert step_account((0.0, 0.0), (123.0, -50.0)) == 0.0
-
     def test_one_step_loss_bound(self):
-        # at leverage L with |X_i| <= g, one step cannot lose more than L g V
+        # at leverage L with |X_i| <= g, one step n . delta_p cannot lose more than L g V
         m = CointegrationSpread(beta=2.0, mu=0.0)
         rng = np.random.default_rng(3)
         value = 10_000.0
         g = 0.05
         for _ in range(500):
             x1, x2 = rng.uniform(-g, g, 2)
-            dec = allocate(m, P, 0.1, 0.02, value, leverage=1.0)
-            dv = step_account(dec.holdings, (P.p1 * x1, P.p2 * x2))
+            n1, n2 = allocate(m, *P, 0.1, 0.02, value, leverage=1.0)
+            dv = n1 * (P[0] * x1) + n2 * (P[1] * x2)
             assert dv >= -g * value * (1.0 + 1e-12)
