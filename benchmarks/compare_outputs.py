@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of two source trees byte for byte.
+
+    python3 benchmarks/compare_outputs.py --repo A --repo B [--seed 1 --seed 2 ...]
+
+For each seed (default 1) it writes perfbench's inputs with
+`perfbench/inputs.py` of the checkout holding this script, loaded as it is:
+the `backtest` pair and the 36 `screen` pairs. Each tree then runs these
+calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
+
+- `backtest` on every one of those inputs, in both threshold modes
+- `montecarlo --seed S`, its other settings at their defaults
+- `verify-lemma --samples 10000 --seed S`
+
+It lists every exit code, stdout, stderr and output file whose bytes differ
+between the trees, and exits 1 if anything differs. Giving the same tree
+twice checks that repeat runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
+CALL_TIMEOUT_S = 600
+
+
+def load_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the module runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every call for one seed; a backtest writes to out/<name>."""
+    inputs = load_inputs()
+    backtest = data / "backtest.csv"
+    inputs.backtest_input(seed, backtest)
+    out = []
+    for path in [backtest, *inputs.screen_inputs(seed, data)]:
+        for mode in ("approx", "exact"):
+            name = f"{path.stem}-{mode}"
+            out.append((name, ["backtest", "--input", str(path), "--out-dir", f"out/{name}",
+                               "--threshold-mode", mode]))
+    out.append(("montecarlo", ["montecarlo", "--seed", str(seed)]))
+    out.append(("lemma", ["verify-lemma", "--samples", "10000", "--seed", str(seed)]))
+    return out
+
+
+def child_env(tree: Path) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+
+def run(tree: Path, name: str, argv: list[str], cwd: Path) -> dict[str, bytes]:
+    """Exit code, stdout, stderr and every output file of one call, as bytes."""
+    proc = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=cwd, env=child_env(tree),
+                          capture_output=True, timeout=CALL_TIMEOUT_S)
+    got = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+           "stderr": proc.stderr}
+    out_dir = cwd / "out" / name
+    if out_dir.is_dir():
+        for path in sorted(out_dir.iterdir()):
+            got[path.name] = path.read_bytes()
+    return got
+
+
+def check_tree(tree: Path) -> None:
+    """Fail unless a child interpreter imports pairtrade from tree/src."""
+    proc = subprocess.run([sys.executable, "-c", "import pairtrade; print(pairtrade.__file__)"],
+                          env=child_env(tree), capture_output=True, text=True, check=True)
+    where = Path(proc.stdout.strip()).resolve()
+    if not where.is_relative_to(tree / "src"):
+        sys.exit(f"pairtrade imports from {where}, not from {tree / 'src'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, action="append", required=True,
+                        help="a source tree; give exactly two")
+    parser.add_argument("--seed", type=int, action="append", help="input seed (repeatable)")
+    args = parser.parse_args(argv)
+    if len(args.repo) != 2:
+        parser.error("give --repo exactly twice")
+    trees = [repo.resolve() for repo in args.repo]
+    for tree in trees:
+        check_tree(tree)
+
+    differences = total = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        for seed in args.seed or [1]:
+            data = Path(tmp) / f"seed{seed}" / "data"
+            data.mkdir(parents=True)
+            sides = [Path(tmp) / f"seed{seed}" / side for side in ("a", "b")]
+            for name, argv in calls(seed, data):
+                total += 1
+                got = []
+                for tree, cwd in zip(trees, sides):
+                    cwd.mkdir(exist_ok=True)
+                    got.append(run(tree, name, argv, cwd))
+                for key in sorted(set(got[0]) | set(got[1])):
+                    a, b = (g.get(key) for g in got)
+                    if a != b:
+                        differences += 1
+                        size = ["absent" if x is None else f"{len(x)} bytes" for x in (a, b)]
+                        print(f"seed {seed} {name} {key}: differs ({size[0]} vs {size[1]})")
+    print(f"{total} calls per tree, {differences} differences", file=sys.stderr)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ harnesses that verify the expected-growth and approximation-error claims.
 from .backtest import (
     BacktestConfig,
     BacktestReport,
-    LedgerRow,
+    Ledger,
     buy_and_hold,
     max_drawdown,
     run_backtest,
@@ -28,7 +28,6 @@ from .domain import (
 from .estimation import (
     DEFAULT_GAMMA_FLOOR,
     WindowConfig,
-    WindowEstimates,
     estimate_eta,
     estimate_gamma,
     sign,
@@ -73,7 +72,7 @@ __all__ = [
     "DegenerateRegressorError",
     "DomainError",
     "FormatError",
-    "LedgerRow",
+    "Ledger",
     "LemmaSummary",
     "LengthError",
     "OrderingError",
@@ -85,7 +84,6 @@ __all__ = [
     "StationaryPointError",
     "TheoremSummary",
     "WindowConfig",
-    "WindowEstimates",
     "allocate",
     "apply_adjustments",
     "buy_and_hold",

@@ -11,43 +11,28 @@ recorded but never realized.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .domain import DomainError, LengthError, PriceSeries
-from .estimation import (
-    DEFAULT_GAMMA_FLOOR,
-    WindowConfig,
-    WindowEstimates,
-    estimate_eta,
-    estimate_gamma,
+from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig, estimate_eta, estimate_gamma
+from .spread import (
+    DegenerateRegressorError,
+    SpreadModel,
+    fit_cointegration,
+    spread_gradient,
+    spread_value,
 )
-from .spread import DegenerateRegressorError, SpreadModel, fit_cointegration, spread_value
 from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
 
 logger = logging.getLogger(__name__)
-
-LEDGER_COLUMNS = (
-    "k",
-    "date",
-    "p1",
-    "p2",
-    "spread",
-    "threshold",
-    "beta",
-    "mu",
-    "gamma",
-    "eta",
-    "n1",
-    "n2",
-    "value",
-    "active",
-)
 
 
 @dataclass(frozen=True)
@@ -81,28 +66,37 @@ class BacktestConfig:
             raise DomainError(f"gamma_floor must be finite and positive, got {self.gamma_floor!r}")
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    """One period of the backtest: prices, frozen estimates, decision, value.
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """The backtest's per-period columns, one entry per period from
+    train_len on; date is a tuple of str, every other column a numpy array.
 
     value is the account value at decision time, before the period's profit
-    is realized. beta and mu are NaN for model families without them.
+    is realized. beta and mu are NaN for model families without them. A
+    window without a fit has NaN spread and estimates and an infinite
+    threshold.
     """
 
-    k: int
-    date: str
-    p1: float
-    p2: float
-    spread: float
-    threshold: float
-    beta: float
-    mu: float
-    gamma: float
-    eta: float
-    n1: float
-    n2: float
-    value: float
-    active: bool
+    k: np.ndarray
+    date: tuple[str, ...]
+    p1: np.ndarray
+    p2: np.ndarray
+    spread: np.ndarray
+    threshold: np.ndarray
+    beta: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    value: np.ndarray
+    active: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+
+LEDGER_COLUMNS = tuple(f.name for f in fields(Ledger))
 
 
 @dataclass(frozen=True)
@@ -115,16 +109,6 @@ class BacktestReport:
     active_periods: int
     buyhold_1_final: float
     buyhold_2_final: float
-
-    def to_dict(self) -> dict:
-        return {
-            "final_value": self.final_value,
-            "total_return": self.total_return,
-            "max_drawdown": self.max_drawdown,
-            "active_periods": self.active_periods,
-            "buyhold_1_final": self.buyhold_1_final,
-            "buyhold_2_final": self.buyhold_2_final,
-        }
 
 
 def buy_and_hold(series: PriceSeries, which: int, initial: float) -> np.ndarray:
@@ -155,28 +139,11 @@ def max_drawdown(values) -> float:
     return float(np.max((peaks - vals) / peaks))
 
 
-def _window_estimates(
-    window: PriceSeries,
-    model: SpreadModel,
-    config: BacktestConfig,
-) -> WindowEstimates:
-    if config.gamma_override is not None:
-        gamma_hat = config.gamma_override
-    else:
-        gamma_hat = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
-    return WindowEstimates(
-        beta_hat=float(getattr(model, "beta", math.nan)),
-        mu_hat=float(getattr(model, "mu", math.nan)),
-        gamma_hat=gamma_hat,
-        eta_hat=estimate_eta(spread_value(model, window.p1, window.p2)),
-    )
-
-
 def run_backtest(
     series: PriceSeries,
     config: BacktestConfig | None = None,
     fit_model: Callable[[PriceSeries], SpreadModel] = fit_cointegration,
-) -> tuple[list[LedgerRow], BacktestReport]:
+) -> tuple[Ledger, BacktestReport]:
     """Run the staggered-window strategy over the series.
 
     fit_model selects the model family: it is called on each training window
@@ -188,9 +155,10 @@ def run_backtest(
     position. If the account value ever drops to zero or below, trading
     halts for the rest of the run.
 
-    Each refit's spreads and thresholds are evaluated over its whole block of
-    trade_len rows at once; only the allocation and the value recursion run
-    row by row.
+    Each refit's spreads, thresholds and gradients are evaluated over its
+    whole block of trade_len rows at once, so a stationary point anywhere in
+    a tradeable block raises StationaryPointError. Only the allocation and
+    the value recursion run row by row.
     """
     if config is None:
         config = BacktestConfig()
@@ -203,133 +171,143 @@ def run_backtest(
         )
     threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
 
-    p1 = series.p1.tolist()
-    p2 = series.p2.tolist()
-    value = config.initial_value
-    rows: list[LedgerRow] = []
-    halted = False
-
+    # an unfitted or untradeable window keeps these fills; NaN never exceeds tau = inf
+    rows = total - n_train
+    spread, beta, mu, gamma, eta, g1, g2 = (np.full(rows, math.nan) for _ in range(7))
+    tau = np.full(rows, math.inf)
     for start in range(n_train, total, stride):
-        ks = range(start, min(start + stride, total))
-        bp1 = series.p1[start : ks.stop]
-        bp2 = series.p2[start : ks.stop]
+        stop = min(start + stride, total)
+        block = slice(start - n_train, stop - n_train)
         window = series.window(start - n_train, start)
-        # an unfitted window has NaN spread and estimates; NaN never exceeds tau = inf
-        model = None
-        beta = mu = gamma = eta = math.nan
-        spreads = [math.nan] * len(ks)
-        taus = [math.inf] * len(ks)
         try:
             model = fit_model(window)
         except DegenerateRegressorError as exc:
             logger.warning("window ending at k=%d untradeable: %s", start, exc)
+            continue
+        # clipped into (0, 1]: a window whose raw bound reaches 1 never trades
+        if config.gamma_override is not None:
+            gamma_hat = config.gamma_override
         else:
-            est = _window_estimates(window, model, config)
-            beta, mu, gamma, eta = est.beta_hat, est.mu_hat, est.gamma_hat, est.eta_hat
-            spreads = spread_value(model, bp1, bp2).tolist()
-            window_tradeable = gamma < 1.0 and config.leverage * gamma < 1.0
-            if not window_tradeable:
-                logger.warning(
-                    "window ending at k=%d untradeable: gamma_hat=%.6g, "
-                    "leverage*gamma_hat=%.6g (both must be < 1)",
-                    start,
-                    gamma,
-                    config.leverage * gamma,
-                )
-            elif est.tradeable:
-                taus = threshold(model, bp1, bp2, gamma, eta).tolist()
-        for k, spread, tau in zip(ks, spreads, taus):
-            if not halted and value <= 0.0:
-                halted = True
-                logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, k)
-            if halted:
-                n1 = n2 = 0.0
-            else:
-                n1, n2 = allocate(model, p1[k], p2[k], spread, tau, value, config.leverage)
-            rows.append(
-                LedgerRow(
-                    k=k,
-                    date=series.dates[k],
-                    p1=p1[k],
-                    p2=p2[k],
-                    spread=spread,
-                    threshold=tau,
-                    beta=beta,
-                    mu=mu,
-                    gamma=gamma,
-                    eta=eta,
-                    n1=n1,
-                    n2=n2,
-                    value=value,
-                    active=not halted and abs(spread) > tau,
-                )
+            gamma_hat = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
+        eta_hat = estimate_eta(spread_value(model, window.p1, window.p2))
+        beta[block] = getattr(model, "beta", math.nan)
+        mu[block] = getattr(model, "mu", math.nan)
+        gamma[block] = gamma_hat
+        eta[block] = eta_hat
+        bp1 = series.p1[start:stop]
+        bp2 = series.p2[start:stop]
+        spread[block] = spread_value(model, bp1, bp2)
+        if not (gamma_hat < 1.0 and config.leverage * gamma_hat < 1.0):
+            logger.warning(
+                "window ending at k=%d untradeable: gamma_hat=%.6g, "
+                "leverage*gamma_hat=%.6g (both must be < 1)",
+                start,
+                gamma_hat,
+                config.leverage * gamma_hat,
             )
-            if k + 1 < total:
-                value = value + (n1 * (p1[k + 1] - p1[k]) + n2 * (p2[k + 1] - p2[k]))
+        elif eta_hat > 0.0:
+            tau[block] = threshold(model, bp1, bp2, gamma_hat, eta_hat)
+            g1[block], g2[block] = spread_gradient(model, bp1, bp2)
 
-    bh1 = buy_and_hold(series, 1, config.initial_value)
-    bh2 = buy_and_hold(series, 2, config.initial_value)
-    report = BacktestReport(
-        final_value=rows[-1].value,
-        total_return=rows[-1].value / config.initial_value - 1.0,
-        max_drawdown=max_drawdown([row.value for row in rows]),
-        active_periods=sum(1 for row in rows if row.active),
-        buyhold_1_final=float(bh1[-1]),
-        buyhold_2_final=float(bh2[-1]),
+    p1 = series.p1.tolist()
+    p2 = series.p2.tolist()
+    value = config.initial_value
+    values: list[float] = []
+    n1: list[float] = []
+    n2: list[float] = []
+    for k, s, t, a, b in zip(
+        range(n_train, total), spread.tolist(), tau.tolist(), g1.tolist(), g2.tolist()
+    ):
+        if value <= 0.0:
+            logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, k)
+            break
+        x1, x2 = allocate(a, b, p1[k], p2[k], s, t, value, config.leverage)
+        values.append(value)
+        n1.append(x1)
+        n2.append(x2)
+        if k + 1 < total:
+            value = value + (x1 * (p1[k + 1] - p1[k]) + x2 * (p2[k + 1] - p2[k]))
+    # from a halt on the account holds nothing and its value stays frozen
+    halt = len(values)
+    active = np.abs(spread) > tau
+    active[halt:] = False
+    flat = [0.0] * (rows - halt)
+    ledger = Ledger(
+        k=np.arange(n_train, total),
+        date=series.dates[n_train:],
+        p1=series.p1[n_train:],
+        p2=series.p2[n_train:],
+        spread=spread,
+        threshold=tau,
+        beta=beta,
+        mu=mu,
+        gamma=gamma,
+        eta=eta,
+        n1=np.array(n1 + flat),
+        n2=np.array(n2 + flat),
+        value=np.array(values + [value] * (rows - halt)),
+        active=active,
     )
-    return rows, report
+
+    final = float(ledger.value[-1])
+    report = BacktestReport(
+        final_value=final,
+        total_return=final / config.initial_value - 1.0,
+        max_drawdown=max_drawdown(ledger.value),
+        active_periods=int(np.count_nonzero(active)),
+        buyhold_1_final=float(buy_and_hold(series, 1, config.initial_value)[-1]),
+        buyhold_2_final=float(buy_and_hold(series, 2, config.initial_value)[-1]),
+    )
+    return ledger, report
 
 
-def _fmt(x: float) -> str:
-    return "%.10g" % (x,)
+# one %-format per CSV row; dates go through _csv_field
+_LEDGER_ROW = "%d,%s," + ",".join(["%.10g"] * (len(LEDGER_COLUMNS) - 3)) + ",%d\n"
+_PLOT_ROW = "%d,%s,%.10g,%.10g,%.10g\n"
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
-def write_ledger_csv(rows, path) -> None:
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it; only a comma, a double quote or a line
+    break can make it quote."""
+    if not _NEEDS_QUOTES(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def write_ledger_csv(ledger: Ledger, path) -> None:
     """Ledger CSV with one row per backtest period, floats at 10 significant
     digits, active as 0/1."""
+    columns = [getattr(ledger, name).tolist() for name in LEDGER_COLUMNS if name != "date"]
+    columns.insert(1, [_csv_field(d) for d in ledger.date])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LEDGER_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.k,
-                    r.date,
-                    _fmt(r.p1),
-                    _fmt(r.p2),
-                    _fmt(r.spread),
-                    _fmt(r.threshold),
-                    _fmt(r.beta),
-                    _fmt(r.mu),
-                    _fmt(r.gamma),
-                    _fmt(r.eta),
-                    _fmt(r.n1),
-                    _fmt(r.n2),
-                    _fmt(r.value),
-                    1 if r.active else 0,
-                ]
-            )
+        fh.write(",".join(LEDGER_COLUMNS) + "\n")
+        fh.writelines(_LEDGER_ROW % row for row in zip(*columns))
 
 
 def write_report_json(report: BacktestReport, path, extra: dict | None = None) -> None:
     """Report JSON with sorted keys; extra entries (e.g. the resolved config)
     are merged in."""
-    payload = report.to_dict()
+    payload = asdict(report)
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_plot_csv(path, series: PriceSeries, rows, initial_value: float) -> None:
+def write_plot_csv(path, series: PriceSeries, ledger: Ledger, initial_value: float) -> None:
     """Per-period value paths of the strategy and both buy-and-holds, over
     the whole series (strategy value is flat before the first decision)."""
     bh1 = buy_and_hold(series, 1, initial_value)
     bh2 = buy_and_hold(series, 2, initial_value)
-    first = rows[0].k if rows else len(series)
+    first = int(ledger.k[0]) if len(ledger) else len(series)
+    values = [initial_value] * first + ledger.value.tolist()
+    dates = [_csv_field(d) for d in series.dates]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "date", "value", "buyhold_1", "buyhold_2"])
-        for k in range(len(series)):
-            value = initial_value if k < first else rows[k - first].value
-            writer.writerow([k, series.dates[k], _fmt(value), _fmt(bh1[k]), _fmt(bh2[k])])
+        fh.write("k,date,value,buyhold_1,buyhold_2\n")
+        fh.writelines(
+            _PLOT_ROW % row
+            for row in zip(range(len(series)), dates, values, bh1.tolist(), bh2.tolist())
+        )

@@ -333,16 +333,16 @@ def _run_backtest(cfg: dict, bt_config: BacktestConfig) -> None:
     series = load_csv(cfg["input"])
     if cfg["adjust"]:
         series = apply_adjustments(series, cfg["adjust"])
-    rows, report = run_backtest(series, bt_config)
+    ledger, report = run_backtest(series, bt_config)
     out_dir = Path(cfg["out_dir"])
     if cfg["emit_ledger"] or cfg["emit_report"] or cfg["emit_plot"]:
         out_dir.mkdir(parents=True, exist_ok=True)
     if cfg["emit_ledger"]:
-        write_ledger_csv(rows, out_dir / "ledger.csv")
+        write_ledger_csv(ledger, out_dir / "ledger.csv")
     if cfg["emit_report"]:
         write_report_json(report, out_dir / "report.json", extra={"config": _echo_config(cfg)})
     if cfg["emit_plot"]:
-        write_plot_csv(out_dir / "plot.csv", series, rows, bt_config.initial_value)
+        write_plot_csv(out_dir / "plot.csv", series, ledger, bt_config.initial_value)
     print(
         f"final_value={report.final_value:.2f} "
         f"total_return={report.total_return:.6f} "

@@ -89,15 +89,16 @@ class PriceSeries:
             and np.array_equal(self.p2, other.p2)
         )
 
-    def point(self, k: int) -> PricePoint:
-        """Prices at index k as a PricePoint."""
-        return PricePoint(float(self.p1[k]), float(self.p2[k]))
-
     def window(self, start: int, stop: int) -> "PriceSeries":
-        """Sub-series over [start, stop)."""
+        """Sub-series over [start, stop): slices of this already checked
+        series, so the price arrays are read-only views."""
         if not (0 <= start < stop <= len(self)):
             raise LengthError(f"window [{start}, {stop}) out of range for length {len(self)}")
-        return PriceSeries(self.dates[start:stop], self.p1[start:stop], self.p2[start:stop])
+        sub = object.__new__(PriceSeries)
+        object.__setattr__(sub, "dates", self.dates[start:stop])
+        object.__setattr__(sub, "p1", self.p1[start:stop])
+        object.__setattr__(sub, "p2", self.p2[start:stop])
+        return sub
 
     def __repr__(self) -> str:
         return f"PriceSeries(n={len(self)}, first={self.dates[0]!r}, last={self.dates[-1]!r})"

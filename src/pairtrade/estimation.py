@@ -46,29 +46,6 @@ class WindowConfig:
             raise DomainError(f"trade_len must be an integer >= 1, got {self.trade_len!r}")
 
 
-@dataclass(frozen=True)
-class WindowEstimates:
-    """Frozen per-window estimates. beta_hat and mu_hat are NaN for model
-    families without those parameters. gamma_hat is stored clipped into
-    (0, 1]; a window whose raw return bound reaches 1 is never tradeable
-    anyway because no threshold is defined there."""
-
-    beta_hat: float
-    mu_hat: float
-    gamma_hat: float
-    eta_hat: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma_hat) and 0.0 < self.gamma_hat <= 1.0):
-            raise DomainError(f"gamma_hat must lie in (0, 1], got {self.gamma_hat!r}")
-        if not math.isfinite(self.eta_hat):
-            raise DomainError(f"eta_hat must be finite, got {self.eta_hat!r}")
-
-    @property
-    def tradeable(self) -> bool:
-        return self.eta_hat > 0.0
-
-
 def estimate_gamma(window: PriceSeries, floor: float = DEFAULT_GAMMA_FLOOR) -> float:
     """Max absolute relative return over the window; `floor` only if that max is 0."""
     if not (math.isfinite(floor) and floor > 0.0):

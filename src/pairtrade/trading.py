@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import DomainError
 from .estimation import sign
-from .spread import SpreadModel, spread_gradient, spread_hessian
+from .spread import SpreadModel, spread_hessian
 
 DEFAULT_GRID_POINTS = 41
 THRESHOLD_MODES = ("approx", "exact")
@@ -84,7 +84,8 @@ def threshold_approx(model: SpreadModel, p1, p2, gamma: float, eta: float):
 
 
 def allocate(
-    model: SpreadModel,
+    g1: float,
+    g2: float,
     p1: float,
     p2: float,
     spread: float,
@@ -92,9 +93,9 @@ def allocate(
     account_value: float,
     leverage: float = 1.0,
 ) -> tuple[float, float]:
-    """Threshold rule at one price point: holdings (n1, n2), flat (0.0, 0.0)
-    unless |spread| > threshold, else fully invested against the spread
-    direction."""
+    """Threshold rule at one price point with spread gradient (g1, g2):
+    holdings (n1, n2), flat (0.0, 0.0) unless |spread| > threshold, else
+    fully invested against the spread direction."""
     if not (math.isfinite(account_value) and account_value > 0.0):
         raise DomainError(f"account_value must be finite and positive, got {account_value!r}")
     if not (math.isfinite(leverage) and leverage > 0.0):
@@ -103,7 +104,6 @@ def allocate(
         raise DomainError(f"threshold must be non-negative, got {threshold!r}")
     if not (abs(spread) > threshold):
         return 0.0, 0.0
-    g1, g2 = (float(g) for g in spread_gradient(model, p1, p2))
     lam = leverage * account_value / (abs(g1) * p1 + abs(g2) * p2)
     s = sign(spread)
     return -lam * s * g1, -lam * s * g2

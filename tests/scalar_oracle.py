@@ -5,24 +5,29 @@ kernels became time-major numpy blocks. Tests compare the package against
 them: the same per-trial streams must give the same paths and trade events,
 with pooled sums equal up to summation order.
 
-run_backtest is the backtest engine's row-at-a-time loop from before spreads
-and thresholds were evaluated per trade block: it calls the spread API on one
-price point at a time.
+run_backtest is the backtest engine's row-at-a-time loop from before spreads,
+thresholds and gradients were evaluated per trade block and the ledger became
+columns: it calls the spread API on one price point at a time and records one
+LedgerRow per period. write_ledger_csv and write_plot_csv are the csv.writer
+paths that wrote those rows, one field list per row.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from pairtrade.backtest import LedgerRow
-from pairtrade.estimation import WindowEstimates, estimate_eta, estimate_gamma
+from pairtrade.backtest import LEDGER_COLUMNS, buy_and_hold
+from pairtrade.estimation import estimate_eta, estimate_gamma
 from pairtrade.spread import (
     CointegrationSpread,
     DegenerateRegressorError,
     fit_cointegration,
+    spread_gradient,
     spread_value,
 )
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
@@ -160,6 +165,26 @@ def verify_theorem(spec, trials, periods, eta_assumed=None, gamma_assumed=None, 
     return out
 
 
+@dataclass(frozen=True)
+class LedgerRow:
+    """One period of the backtest ledger, the columns of pairtrade.backtest.Ledger."""
+
+    k: int
+    date: str
+    p1: float
+    p2: float
+    spread: float
+    threshold: float
+    beta: float
+    mu: float
+    gamma: float
+    eta: float
+    n1: float
+    n2: float
+    value: float
+    active: bool
+
+
 def run_backtest(series, config, fit_model=fit_cointegration):
     """Ledger rows of pairtrade.backtest.run_backtest, computed row by row."""
     n_train = config.window.train_len
@@ -167,8 +192,9 @@ def run_backtest(series, config, fit_model=fit_cointegration):
     threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
     value = config.initial_value
     rows = []
-    model = est = None
-    window_tradeable = False
+    model = None
+    estimates = (math.nan,) * 4
+    tradeable = False
     halted = False
     for k in range(n_train, len(series)):
         if (k - n_train) % stride == 0:
@@ -176,8 +202,9 @@ def run_backtest(series, config, fit_model=fit_cointegration):
             try:
                 model = fit_model(window)
             except DegenerateRegressorError:
-                model = est = None
-                window_tradeable = False
+                model = None
+                estimates = (math.nan,) * 4
+                tradeable = False
             else:
                 if config.gamma_override is not None:
                     gamma = config.gamma_override
@@ -187,29 +214,59 @@ def run_backtest(series, config, fit_model=fit_cointegration):
                     float(spread_value(model, float(window.p1[j]), float(window.p2[j])))
                     for j in range(len(window))
                 ]
-                est = WindowEstimates(
+                eta = estimate_eta(path)
+                estimates = (
                     float(getattr(model, "beta", math.nan)),
                     float(getattr(model, "mu", math.nan)),
                     gamma,
-                    estimate_eta(path),
+                    eta,
                 )
-                window_tradeable = gamma < 1.0 and config.leverage * gamma < 1.0
+                tradeable = gamma < 1.0 and config.leverage * gamma < 1.0 and eta > 0.0
         p1, p2 = float(series.p1[k]), float(series.p2[k])
         spread = math.nan if model is None else float(spread_value(model, p1, p2))
-        if window_tradeable and est.tradeable:
-            tau = threshold(model, p1, p2, est.gamma_hat, est.eta_hat)
-        else:
-            tau = math.inf
+        tau = threshold(model, p1, p2, estimates[2], estimates[3]) if tradeable else math.inf
         if halted or value <= 0.0:
             halted = True
             n1, n2, active = 0.0, 0.0, False
         else:
-            n1, n2 = allocate(model, p1, p2, spread, tau, value, config.leverage)
             active = abs(spread) > tau
-        estimates = (math.nan,) * 4 if est is None else (
-            est.beta_hat, est.mu_hat, est.gamma_hat, est.eta_hat
-        )
+            g1, g2 = spread_gradient(model, p1, p2) if active else (math.nan, math.nan)
+            n1, n2 = allocate(float(g1), float(g2), p1, p2, spread, tau, value, config.leverage)
         rows.append(LedgerRow(k, series.dates[k], p1, p2, spread, tau, *estimates, n1, n2, value, active))
         if k + 1 < len(series):
             value = value + (n1 * (float(series.p1[k + 1]) - p1) + n2 * (float(series.p2[k + 1]) - p2))
     return rows
+
+
+def ledger_rows(ledger):
+    """The columns of a pairtrade.backtest.Ledger as LedgerRows."""
+    columns = [getattr(ledger, name) for name in LEDGER_COLUMNS]
+    return [LedgerRow(*row) for row in zip(*(c if isinstance(c, tuple) else c.tolist() for c in columns))]
+
+
+def _fmt(x):
+    return "%.10g" % (x,)
+
+
+def write_ledger_csv(rows, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LEDGER_COLUMNS)
+        for r in rows:
+            writer.writerow(
+                [r.k, r.date, _fmt(r.p1), _fmt(r.p2), _fmt(r.spread), _fmt(r.threshold),
+                 _fmt(r.beta), _fmt(r.mu), _fmt(r.gamma), _fmt(r.eta), _fmt(r.n1), _fmt(r.n2),
+                 _fmt(r.value), 1 if r.active else 0]
+            )
+
+
+def write_plot_csv(path, series, rows, initial_value):
+    bh1 = buy_and_hold(series, 1, initial_value)
+    bh2 = buy_and_hold(series, 2, initial_value)
+    first = rows[0].k if rows else len(series)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", "date", "value", "buyhold_1", "buyhold_2"])
+        for k in range(len(series)):
+            value = initial_value if k < first else rows[k - first].value
+            writer.writerow([k, series.dates[k], _fmt(value), _fmt(bh1[k]), _fmt(bh2[k])])

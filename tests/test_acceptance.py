@@ -85,12 +85,12 @@ class TestAcceptance:
         checked = 0
         for lev in (1.0, 2.0):
             series = generate_pair(OUPairSpec(**GEN, seed=14), 600)
-            rows, _ = run_backtest(series, BacktestConfig(leverage=lev))
-            for r in rows:
-                if r.active:
-                    gross = abs(r.n1) * r.p1 + abs(r.n2) * r.p2
-                    worst = max(worst, abs(gross - lev * r.value) / (lev * r.value))
-                    checked += 1
+            ledger, _ = run_backtest(series, BacktestConfig(leverage=lev))
+            on = ledger.active
+            gross = np.abs(ledger.n1[on]) * ledger.p1[on] + np.abs(ledger.n2[on]) * ledger.p2[on]
+            target = lev * ledger.value[on]
+            worst = max(worst, float(np.max(np.abs(gross - target) / target, initial=0.0)))
+            checked += int(np.count_nonzero(on))
         ok = checked > 100 and worst <= 1e-9
         with capsys.disabled():
             _report(4, ok, f"gross exposure rel err {worst:.3g} over {checked} active rows")
@@ -103,10 +103,11 @@ class TestAcceptance:
         worst = -math.inf
         for seed in range(100):
             series = generate_pair(OUPairSpec(**GEN, seed=seed), 2_000)
-            rows, report = run_backtest(series, cfg)
+            ledger, report = run_backtest(series, cfg)
             positive &= report.final_value > 0.0
-            for a, b in zip(rows, rows[1:]):
-                loss_ratio = (a.value - b.value) / a.value
+            value = ledger.value.tolist()
+            for a, b in zip(value, value[1:]):
+                loss_ratio = (a - b) / a
                 worst = max(worst, loss_ratio)
                 bound_ok &= loss_ratio <= GEN["gamma_cap"] * (1.0 + 1e-12)
         ok = positive and bound_ok
@@ -151,10 +152,10 @@ class TestAcceptance:
     def test_criterion_7_degenerate_regimes(self, capsys):
         p1 = 100.0 * np.power(1.01, np.arange(120))
         series = PriceSeries([f"{i:06d}" for i in range(120)], p1, np.full(120, 50.0))
-        rows, report = run_backtest(series, fit_model=_fit_trend)
+        ledger, report = run_backtest(series, fit_model=_fit_trend)
         trend_ok = (
             report.active_periods == 0
-            and all(r.threshold == math.inf for r in rows)
+            and bool(np.all(ledger.threshold == math.inf))
             and report.final_value == 10_000.0
         )
 

@@ -6,6 +6,7 @@ tolerance, because the engine computes it that way and the ledger is the
 audit trail.
 """
 
+import csv
 import json
 import math
 
@@ -14,6 +15,7 @@ import pytest
 
 import scalar_oracle
 from pairtrade.backtest import (
+    LEDGER_COLUMNS,
     BacktestConfig,
     BacktestReport,
     buy_and_hold,
@@ -23,9 +25,16 @@ from pairtrade.backtest import (
     write_plot_csv,
     write_report_json,
 )
+from pairtrade.cli import main
 from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.estimation import WindowConfig
-from pairtrade.spread import CointegrationSpread, SpreadModel, fit_cointegration
+from pairtrade.ingest import load_csv
+from pairtrade.spread import (
+    CointegrationSpread,
+    SpreadModel,
+    StationaryPointError,
+    fit_cointegration,
+)
 from pairtrade.synthetic import OUPairSpec, generate_pair
 
 BASE_SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)
@@ -81,63 +90,63 @@ class TestMaxDrawdown:
 
 class TestEngineAccounting:
     def test_ledger_value_consistency_exact(self):
-        rows, _ = run_backtest(synthetic_series(seed=2, length=300))
-        for a, b in zip(rows, rows[1:]):
-            assert b.value == a.value + (a.n1 * (b.p1 - a.p1) + a.n2 * (b.p2 - a.p2))
+        ledger, _ = run_backtest(synthetic_series(seed=2, length=300))
+        value, n1, n2, p1, p2 = (
+            getattr(ledger, name).tolist() for name in ("value", "n1", "n2", "p1", "p2")
+        )
+        for i in range(len(ledger) - 1):
+            assert value[i + 1] == value[i] + (
+                n1[i] * (p1[i + 1] - p1[i]) + n2[i] * (p2[i + 1] - p2[i])
+            )
 
     def test_first_row_at_train_len(self):
         cfg = BacktestConfig(window=WindowConfig(train_len=40, trade_len=5))
         series = synthetic_series(seed=2, length=120)
-        rows, _ = run_backtest(series, cfg)
-        assert rows[0].k == 40
-        assert rows[0].value == cfg.initial_value
-        assert rows[-1].k == 119
-        assert len(rows) == 80
+        ledger, _ = run_backtest(series, cfg)
+        assert ledger.k[0] == 40
+        assert ledger.value[0] == cfg.initial_value
+        assert ledger.k[-1] == 119
+        assert len(ledger) == 80
 
     def test_retraining_cadence(self):
         cfg = BacktestConfig(window=WindowConfig(train_len=40, trade_len=5))
-        rows, _ = run_backtest(synthetic_series(seed=3, length=200), cfg)
-        for row in rows:
-            boundary = (row.k - 40) % 5 == 0
+        ledger, _ = run_backtest(synthetic_series(seed=3, length=200), cfg)
+        estimates = _estimates(ledger)
+        for i, k in enumerate(ledger.k.tolist()):
+            boundary = (k - 40) % 5 == 0
             if not boundary:
-                prev = rows[row.k - 40 - 1]
-                assert (row.beta, row.mu, row.gamma, row.eta) == (
-                    prev.beta,
-                    prev.mu,
-                    prev.gamma,
-                    prev.eta,
-                )
+                assert estimates[i] == estimates[i - 1]
 
     def test_estimates_change_at_boundaries(self):
-        rows, _ = run_backtest(synthetic_series(seed=3, length=200))
+        ledger, _ = run_backtest(synthetic_series(seed=3, length=200))
+        estimates = _estimates(ledger)
         changed = 0
-        for prev, row in zip(rows, rows[1:]):
-            if (row.beta, row.mu, row.gamma, row.eta) != (prev.beta, prev.mu, prev.gamma, prev.eta):
-                assert (row.k - 40) % 5 == 0
+        for i, k in enumerate(ledger.k.tolist()[1:], start=1):
+            if estimates[i] != estimates[i - 1]:
+                assert (k - 40) % 5 == 0
                 changed += 1
         assert changed > 10
 
     def test_full_investment_when_active(self):
         for lev in (1.0, 2.0):
             cfg = BacktestConfig(leverage=lev)
-            rows, _ = run_backtest(synthetic_series(seed=4, length=300), cfg)
-            active = [r for r in rows if r.active]
-            assert active
-            for r in active:
-                gross = abs(r.n1) * r.p1 + abs(r.n2) * r.p2
-                assert gross == pytest.approx(lev * r.value, rel=1e-9)
+            ledger, _ = run_backtest(synthetic_series(seed=4, length=300), cfg)
+            on = ledger.active
+            assert on.any()
+            gross = np.abs(ledger.n1[on]) * ledger.p1[on] + np.abs(ledger.n2[on]) * ledger.p2[on]
+            np.testing.assert_allclose(gross, lev * ledger.value[on], rtol=1e-9, atol=0)
 
     def test_inactive_rows_flat(self):
-        rows, _ = run_backtest(synthetic_series(seed=4, length=300))
-        for r in rows:
-            if not r.active:
-                assert r.n1 == 0.0 and r.n2 == 0.0
+        ledger, _ = run_backtest(synthetic_series(seed=4, length=300))
+        off = ~ledger.active
+        assert np.all(ledger.n1[off] == 0.0) and np.all(ledger.n2[off] == 0.0)
 
     def test_determinism(self):
         series = synthetic_series(seed=5, length=250)
-        rows_a, report_a = run_backtest(series)
-        rows_b, report_b = run_backtest(series)
-        assert rows_a == rows_b
+        ledger_a, report_a = run_backtest(series)
+        ledger_b, report_b = run_backtest(series)
+        for name in LEDGER_COLUMNS:
+            np.testing.assert_array_equal(getattr(ledger_a, name), getattr(ledger_b, name))
         assert report_a == report_b
 
     def test_median_seed_profitable_under_strong_reversion(self):
@@ -154,26 +163,26 @@ class TestEngineAccounting:
 
     def test_gamma_override_recorded(self):
         cfg = BacktestConfig(gamma_override=0.05)
-        rows, _ = run_backtest(synthetic_series(seed=6, length=150), cfg)
-        assert all(r.gamma == 0.05 for r in rows)
+        ledger, _ = run_backtest(synthetic_series(seed=6, length=150), cfg)
+        assert np.all(ledger.gamma == 0.05)
 
     def test_exact_mode_thresholds_dominate(self):
         series = synthetic_series(seed=7, length=150)
-        rows_a, _ = run_backtest(series, BacktestConfig(threshold_mode="approx"))
-        rows_e, _ = run_backtest(series, BacktestConfig(threshold_mode="exact"))
-        for a, e in zip(rows_a, rows_e):
-            if math.isfinite(e.threshold):
-                assert e.threshold >= a.threshold
+        ledger_a, _ = run_backtest(series, BacktestConfig(threshold_mode="approx"))
+        ledger_e, _ = run_backtest(series, BacktestConfig(threshold_mode="exact"))
+        finite = np.isfinite(ledger_e.threshold)
+        assert np.all(ledger_e.threshold[finite] >= ledger_a.threshold[finite])
 
     def test_one_step_loss_bounded_by_gamma_when_returns_bounded(self):
         # generator returns are capped at gamma_cap; pinning gamma_hat to the
         # cap makes the one-step bound deterministic
         cfg = BacktestConfig(gamma_override=BASE_SPEC["gamma_cap"])
-        rows, _ = run_backtest(synthetic_series(seed=8, length=500), cfg)
-        for a, b in zip(rows, rows[1:]):
-            loss = a.value - b.value
-            assert loss <= BASE_SPEC["gamma_cap"] * a.value * (1.0 + 1e-12)
-            assert b.value > 0.0
+        ledger, _ = run_backtest(synthetic_series(seed=8, length=500), cfg)
+        value = ledger.value.tolist()
+        for a, b in zip(value, value[1:]):
+            loss = a - b
+            assert loss <= BASE_SPEC["gamma_cap"] * a * (1.0 + 1e-12)
+            assert b > 0.0
 
 
 class _TrendModel(SpreadModel):
@@ -192,6 +201,26 @@ class _TrendModel(SpreadModel):
     def hessian(self, p1, p2):
         p1 = np.asarray(p1, dtype=float)
         return -1.0 / (p1 * p1), 0.0, 0.0
+
+
+class _StationaryAt(SpreadModel):
+    """A fitted log-linear spread whose gradient vanishes where p1 equals
+    p1_star. Test double."""
+
+    def __init__(self, inner, p1_star):
+        self.inner = inner
+        self.p1_star = p1_star
+
+    def value(self, p1, p2):
+        return self.inner.value(p1, p2)
+
+    def gradient(self, p1, p2):
+        g1, g2 = self.inner.gradient(p1, p2)
+        flat = np.asarray(p1) == self.p1_star
+        return np.where(flat, 0.0, g1), np.where(flat, 0.0, g2)
+
+    def hessian(self, p1, p2):
+        return self.inner.hessian(p1, p2)
 
 
 def _fit_trend(window):
@@ -221,17 +250,18 @@ def flat_p1_series():
 class TestDegenerateConditions:
     def test_constant_p1_window_untradeable(self, caplog):
         with caplog.at_level("WARNING", logger="pairtrade.backtest"):
-            rows, report = run_backtest(flat_p1_series())
-        degenerate = [r for r in rows if 140 <= r.k < 165]
-        assert all(math.isnan(r.spread) and math.isnan(r.beta) and math.isnan(r.mu)
-                   for r in degenerate)
-        assert all(r.threshold == math.inf and not r.active for r in degenerate)
-        assert all(r.n1 == 0.0 and r.n2 == 0.0 for r in degenerate)
-        assert not any(math.isnan(r.spread) for r in rows if not 140 <= r.k < 165)
+            ledger, report = run_backtest(flat_p1_series())
+        degenerate = (ledger.k >= 140) & (ledger.k < 165)
+        assert degenerate.any()
+        assert np.all(np.isnan(ledger.spread[degenerate]) & np.isnan(ledger.beta[degenerate])
+                      & np.isnan(ledger.mu[degenerate]))
+        assert np.all((ledger.threshold[degenerate] == math.inf) & ~ledger.active[degenerate])
+        assert np.all((ledger.n1[degenerate] == 0.0) & (ledger.n2[degenerate] == 0.0))
+        assert not np.isnan(ledger.spread[~degenerate]).any()
         # one warning per degenerate window
         assert len([m for m in caplog.messages if "log p1 is constant" in m]) == 5
-        assert any(r.active for r in rows if r.k < 140)
-        assert any(r.active for r in rows if r.k >= 165)
+        assert ledger.active[ledger.k < 140].any()
+        assert ledger.active[ledger.k >= 165].any()
         assert math.isfinite(report.final_value)
 
     def test_negative_eta_means_no_trades(self):
@@ -240,33 +270,51 @@ class TestDegenerateConditions:
         p1 = 100.0 * np.power(1.01, np.arange(80))
         p2 = np.full(80, 50.0)
         series = make_series(p1, p2)
-        rows, report = run_backtest(series, fit_model=_fit_trend)
-        assert all(r.eta < 0.0 for r in rows)
-        assert all(r.threshold == math.inf for r in rows)
+        ledger, report = run_backtest(series, fit_model=_fit_trend)
+        assert np.all(ledger.eta < 0.0)
+        assert np.all(ledger.threshold == math.inf)
         assert report.active_periods == 0
-        assert all(r.value == 10_000.0 for r in rows)
+        assert np.all(ledger.value == 10_000.0)
         assert report.final_value == 10_000.0
-        assert math.isnan(rows[0].beta) and math.isnan(rows[0].mu)
+        assert math.isnan(ledger.beta[0]) and math.isnan(ledger.mu[0])
 
     def test_random_walks_complete(self):
         # two independent random walks: no cointegration, engine must simply run
         rng = np.random.default_rng(12)
         p1 = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, 500)))
         p2 = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, 500)))
-        rows, report = run_backtest(make_series(p1, p2))
-        assert len(rows) == 460
+        ledger, report = run_backtest(make_series(p1, p2))
+        assert len(ledger) == 460
         assert math.isfinite(report.final_value)
         assert math.isfinite(report.max_drawdown)
 
     def test_bankruptcy_halts_trading(self):
         # quiet training window, then p2 explodes against a full short: the
         # account goes non-positive once and stays frozen afterwards
-        rows, report = run_backtest(*BANKRUPTCY)
-        assert rows[0].active
-        assert rows[1].value < 0.0
-        assert not rows[1].active and not rows[2].active
+        ledger, report = run_backtest(*BANKRUPTCY)
+        assert ledger.active[0]
+        assert ledger.value[1] < 0.0
+        assert not ledger.active[1] and not ledger.active[2]
         assert report.final_value < 0.0
         assert report.max_drawdown > 1.0
+
+    def test_stationary_point_in_traded_block_raises(self):
+        # the gradient is taken over each tradeable block at once, so a
+        # stationary point raises even on a row that would not have traded
+        series = synthetic_series(seed=4, length=300)
+        ledger, _ = run_backtest(series)
+        idle = np.flatnonzero(np.isfinite(ledger.threshold) & ~ledger.active)
+        assert idle.size
+        p1_star = float(ledger.p1[idle[0]])
+        assert np.count_nonzero(series.p1 == p1_star) == 1
+
+        def fit(window):
+            return _StationaryAt(fit_cointegration(window), p1_star)
+
+        with pytest.raises(StationaryPointError):
+            run_backtest(series, fit_model=fit)
+        # the row loop only ever asked for gradients on traded rows
+        assert len(scalar_oracle.run_backtest(series, BacktestConfig(), fit)) == len(ledger)
 
     def test_huge_window_returns_disable_trading(self):
         # a window containing a 4x jump gives gamma_hat clipped to 1 and the
@@ -277,14 +325,18 @@ class TestDegenerateConditions:
         p2 = p2.copy()
         p2[20] *= 5.0
         series = make_series(p1, p2)
-        rows, _ = run_backtest(series)
-        jump_rows = [r for r in rows if r.gamma >= 1.0]
-        assert jump_rows
-        assert all(not r.active for r in jump_rows)
+        ledger, _ = run_backtest(series)
+        jump_rows = ledger.gamma >= 1.0
+        assert jump_rows.any()
+        assert not ledger.active[jump_rows].any()
 
 
 def _column(rows, name):
     return np.array([getattr(r, name) for r in rows])
+
+
+def _estimates(ledger):
+    return list(zip(*(getattr(ledger, name).tolist() for name in ("beta", "mu", "gamma", "eta"))))
 
 
 class TestScalarOracle:
@@ -318,40 +370,40 @@ class TestScalarOracle:
     )
     def test_matches_row_loop(self, case):
         series, cfg, fit = case()
-        rows, report = run_backtest(series, cfg, fit_model=fit)
+        ledger, report = run_backtest(series, cfg, fit_model=fit)
         ref = scalar_oracle.run_backtest(series, cfg, fit)
-        assert len(rows) == len(ref)
+        assert len(ledger) == len(ref)
         for name in self.EXACT:
-            np.testing.assert_array_equal(_column(rows, name), _column(ref, name), err_msg=name)
-        np.testing.assert_allclose(_column(rows, "spread"), _column(ref, "spread"), rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(getattr(ledger, name), _column(ref, name), err_msg=name)
+        np.testing.assert_allclose(ledger.spread, _column(ref, "spread"), rtol=0, atol=1e-14)
         for name in ("eta", "threshold"):
-            np.testing.assert_allclose(_column(rows, name), _column(ref, name), rtol=1e-11, err_msg=name)
+            np.testing.assert_allclose(getattr(ledger, name), _column(ref, name), rtol=1e-11, err_msg=name)
         assert report.final_value == ref[-1].value
         assert report.active_periods == sum(r.active for r in ref)
 
 
 class TestExports:
     def test_ledger_csv_round_trip(self, tmp_path):
-        rows, _ = run_backtest(synthetic_series(seed=9, length=120))
+        ledger, _ = run_backtest(synthetic_series(seed=9, length=120))
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(rows, path)
+        write_ledger_csv(ledger, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "k,date,p1,p2,spread,threshold,beta,mu,gamma,eta,n1,n2,value,active"
-        assert len(lines) == len(rows) + 1
+        assert len(lines) == len(ledger) + 1
         first = lines[1].split(",")
-        assert first[0] == str(rows[0].k)
-        assert first[1] == rows[0].date
+        assert first[0] == str(ledger.k[0])
+        assert first[1] == ledger.date[0]
         # 10 significant digits round-trip well below the 1e-9 level
-        assert float(first[2]) == pytest.approx(rows[0].p1, rel=1e-9)
-        assert float(first[12]) == pytest.approx(rows[0].value, rel=1e-9)
+        assert float(first[2]) == pytest.approx(ledger.p1[0], rel=1e-9)
+        assert float(first[12]) == pytest.approx(ledger.value[0], rel=1e-9)
         assert first[13] in ("0", "1")
 
     def test_ledger_csv_infinite_threshold(self, tmp_path):
         p1 = 100.0 * np.power(1.01, np.arange(60))
         series = make_series(p1, np.full(60, 50.0))
-        rows, _ = run_backtest(series, fit_model=_fit_trend)
+        ledger, _ = run_backtest(series, fit_model=_fit_trend)
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(rows, path)
+        write_ledger_csv(ledger, path)
         row = path.read_text().splitlines()[1].split(",")
         assert float(row[5]) == math.inf
 
@@ -359,9 +411,9 @@ class TestExports:
         series = synthetic_series(seed=10, length=130)
         paths = []
         for name in ("a.csv", "b.csv"):
-            rows, _ = run_backtest(series)
+            ledger, _ = run_backtest(series)
             p = tmp_path / name
-            write_ledger_csv(rows, p)
+            write_ledger_csv(ledger, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
@@ -396,15 +448,40 @@ class TestExports:
 
     def test_plot_csv(self, tmp_path):
         series = synthetic_series(seed=13, length=90)
-        rows, _ = run_backtest(series)
+        ledger, _ = run_backtest(series)
         path = tmp_path / "plot.csv"
-        write_plot_csv(path, series, rows, 10_000.0)
+        write_plot_csv(path, series, ledger, 10_000.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "k,date,value,buyhold_1,buyhold_2"
         assert len(lines) == 91
         # strategy value is flat at the initial value before the first decision
         for line in lines[1:41]:
             assert line.split(",")[2] == "10000"
+
+
+    def test_quoted_dates_written_as_csv_writer_writes_them(self, tmp_path):
+        # dates holding a comma or a double quote are quoted in the input,
+        # read back by load_csv, and must leave the CLI exactly as csv.writer
+        # writes them
+        base = synthetic_series(seed=14, length=120)
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["date", "p1", "p2"])
+            for i, (a, b) in enumerate(zip(base.p1.tolist(), base.p2.tolist())):
+                date = (f"{i:05d}", f"{i:05d},x", f'{i:05d} "q"', f'{i:05d},"q, r"')[i % 4]
+                writer.writerow([date, repr(a), repr(b)])
+        series = load_csv(path)
+        assert series.dates[1] == "00001,x" and series.dates[2] == '00002 "q"'
+        out = tmp_path / "out"
+        assert main(["backtest", "--input", str(path), "--out-dir", str(out)]) == 0
+        rows = scalar_oracle.ledger_rows(run_backtest(series)[0])
+        scalar_oracle.write_ledger_csv(rows, tmp_path / "ledger.csv")
+        scalar_oracle.write_plot_csv(tmp_path / "plot.csv", series, rows, 10_000.0)
+        for name in ("ledger.csv", "plot.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        assert b'\n42,"00042 ""q""",' in (out / "ledger.csv").read_bytes()
+        assert b'\n43,"00043,""q, r""",' in (out / "plot.csv").read_bytes()
 
 
 class TestConfigValidation:

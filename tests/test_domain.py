@@ -37,7 +37,7 @@ class TestPriceSeries:
     def test_happy(self):
         s = make_series([100.0, 105.0], [50.0, 50.0])
         assert len(s) == 2
-        assert s.point(1) == PricePoint(105.0, 50.0)
+        assert (s.p1[1], s.p2[1]) == (105.0, 50.0)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthError):
@@ -73,6 +73,29 @@ class TestPriceSeries:
         assert list(w.p1) == [2.0, 3.0]
         with pytest.raises(LengthError):
             s.window(2, 7)
+
+    @pytest.mark.parametrize("start,stop", [(0, 4), (1, 3), (3, 4)])
+    def test_window_equals_checked_series(self, start, stop):
+        # a window is built from slices without re-validation; it must still
+        # be the series the checking constructor gives, and as immutable
+        s = PriceSeries(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])
+        w = s.window(start, stop)
+        assert isinstance(w, PriceSeries)
+        assert w == PriceSeries(s.dates[start:stop], s.p1[start:stop], s.p2[start:stop])
+        assert w.dates == s.dates[start:stop]
+        assert not w.p1.flags.writeable and not w.p2.flags.writeable
+        with pytest.raises((AttributeError, ValueError)):
+            w.p1[0] = 9.0
+        with pytest.raises(AttributeError):
+            w.p2 = np.array([1.0])
+        with pytest.raises(AttributeError):
+            w.dates = ("x",)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 5)])
+    def test_window_bad_range(self, start, stop):
+        s = make_series([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])
+        with pytest.raises(LengthError):
+            s.window(start, stop)
 
 
 class TestReturns:

@@ -19,7 +19,6 @@ from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.estimation import (
     DEFAULT_GAMMA_FLOOR,
     WindowConfig,
-    WindowEstimates,
     estimate_eta,
     estimate_gamma,
     sign,
@@ -158,22 +157,3 @@ class TestWindowConfig:
     def test_invalid(self, n, m):
         with pytest.raises(DomainError):
             WindowConfig(train_len=n, trade_len=m)
-
-
-class TestWindowEstimates:
-    def test_tradeable_flag(self):
-        assert WindowEstimates(1.0, 0.0, 0.05, 0.1).tradeable
-        assert not WindowEstimates(1.0, 0.0, 0.05, 0.0).tradeable
-        assert not WindowEstimates(1.0, 0.0, 0.05, -0.2).tradeable
-
-    def test_gamma_domain(self):
-        WindowEstimates(1.0, 0.0, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            WindowEstimates(1.0, 0.0, 0.0, 0.1)
-        with pytest.raises(DomainError):
-            WindowEstimates(1.0, 0.0, 1.2, 0.1)
-
-    def test_nan_beta_allowed(self):
-        # model families without (beta, mu) store NaN there
-        est = WindowEstimates(math.nan, math.nan, 0.05, 0.1)
-        assert math.isnan(est.beta_hat)

@@ -69,7 +69,8 @@ class TestTradeScan:
             value = v0
             for k in range(len(p1) - 1):
                 a, b = float(p1[k, j]), float(p2[k, j])
-                n1, n2 = allocate(model, a, b, float(s[k, j]), tau, value, lev)
+                g1, g2 = (float(g) for g in model.gradient(a, b))
+                n1, n2 = allocate(g1, g2, a, b, float(s[k, j]), tau, value, lev)
                 if abs(float(s[k, j])) > tau:
                     step = n1 * (float(p1[k + 1, j]) - a) + n2 * (float(p2[k + 1, j]) - b)
                     expect_dv.append(step)

@@ -39,9 +39,10 @@ def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
     declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
     assert set(snap) | RUNNER_METRICS == declared
     # spreads go in over price arrays: one call per training window, one per
-    # trade block, and no PricePoint per row
+    # trade block, a gradient call per tradeable block, and no PricePoint per row
     refits = len(range(TRAIN_LEN, ROWS, TRADE_LEN))
     assert snap["spread.fit_cointegration_calls"] == refits
     assert snap["spread.spread_value_calls"] == 2 * refits
+    assert 0 < snap["spread.spread_gradient_calls"] <= refits
     assert snap["domain.PricePoint_calls"] == 0
     assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN

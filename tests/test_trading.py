@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrade.domain import DomainError
-from pairtrade.spread import CointegrationSpread, SpreadModel, StationaryPointError
+from pairtrade.spread import CointegrationSpread, SpreadModel
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
 P = (100.0, 50.0)
@@ -160,41 +160,46 @@ class TestThresholdExact:
             threshold_exact(m, *P, 0.05, 0.1, grid_points=1)
 
 
+def _gradient(model):
+    """(g1, g2) at P as floats, the gradient allocate takes."""
+    return tuple(float(g) for g in model.gradient(*P))
+
+
 class TestAllocate:
     def test_hand_example(self):
         # |g1| p1 + |g2| p2 = 0.02*100 + 0.02*50 = 3; lambda = 10000/3
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        n1, n2 = allocate(m, *P, spread=0.1, threshold=0.05, account_value=10_000.0)
+        n1, n2 = allocate(*_gradient(m), *P, spread=0.1, threshold=0.05, account_value=10_000.0)
         assert n1 == pytest.approx(10_000.0 / 3.0 * 0.02, rel=1e-12)
         assert n2 == pytest.approx(-10_000.0 / 3.0 * 0.02, rel=1e-12)
 
     def test_full_investment(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         for lev in (1.0, 0.5, 2.0):
-            n1, n2 = allocate(m, *P, 0.1, 0.05, 10_000.0, leverage=lev)
+            n1, n2 = allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0, leverage=lev)
             gross = abs(n1) * P[0] + abs(n2) * P[1]
             assert gross == pytest.approx(lev * 10_000.0, rel=1e-9)
 
     def test_inactive_at_threshold(self):
         # the rule is a strict inequality: |spread| must exceed the threshold
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        assert allocate(m, *P, 0.05, 0.05, 10_000.0) == (0.0, 0.0)
+        assert allocate(*_gradient(m), *P, 0.05, 0.05, 10_000.0) == (0.0, 0.0)
 
     def test_inactive_on_infinite_threshold(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        assert allocate(m, *P, 12.0, math.inf, 10_000.0) == (0.0, 0.0)
+        assert allocate(*_gradient(m), *P, 12.0, math.inf, 10_000.0) == (0.0, 0.0)
 
     def test_sign_flip(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        pos = allocate(m, *P, 0.1, 0.05, 10_000.0)
-        neg = allocate(m, *P, -0.1, 0.05, 10_000.0)
+        pos = allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0)
+        neg = allocate(*_gradient(m), *P, -0.1, 0.05, 10_000.0)
         assert pos[0] == -neg[0]
         assert pos[1] == -neg[1]
 
     def test_sign_pattern_matches_rule(self):
         # holdings must point along -sign(S) grad S componentwise
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        holdings = allocate(m, *P, 0.1, 0.05, 10_000.0)
+        holdings = allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0)
         g = m.gradient(*P)
         for n_i, g_i in zip(holdings, g):
             assert math.copysign(1.0, n_i) == math.copysign(1.0, -1.0 * g_i)
@@ -203,35 +208,21 @@ class TestAllocate:
     @settings(max_examples=100)
     def test_scale_equivariance_in_value(self, c):
         m = CointegrationSpread(beta=2.0, mu=0.0)
-        base = allocate(m, *P, 0.1, 0.05, 10_000.0)
-        scaled = allocate(m, *P, 0.1, 0.05, 10_000.0 * c)
+        base = allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0)
+        scaled = allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0 * c)
         assert scaled[0] == pytest.approx(base[0] * c, rel=1e-12)
         assert scaled[1] == pytest.approx(base[1] * c, rel=1e-12)
 
     def test_validation(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         with pytest.raises(DomainError):
-            allocate(m, *P, 0.1, 0.05, 0.0)
+            allocate(*_gradient(m), *P, 0.1, 0.05, 0.0)
         with pytest.raises(DomainError):
-            allocate(m, *P, 0.1, 0.05, 10_000.0, leverage=0.0)
+            allocate(*_gradient(m), *P, 0.1, 0.05, 10_000.0, leverage=0.0)
         with pytest.raises(DomainError):
-            allocate(m, *P, 0.1, -0.01, 10_000.0)
+            allocate(*_gradient(m), *P, 0.1, -0.01, 10_000.0)
         with pytest.raises(DomainError):
-            allocate(m, *P, 0.1, math.nan, 10_000.0)
-
-    def test_stationary_gradient_rejected(self):
-        class _Flat(SpreadModel):
-            def value(self, p1, p2):
-                return 5.0
-
-            def gradient(self, p1, p2):
-                return 0.0, 0.0
-
-            def hessian(self, p1, p2):
-                return 0.0, 0.0, 0.0
-
-        with pytest.raises(StationaryPointError):
-            allocate(_Flat(), *P, 10.0, 0.5, 10_000.0)
+            allocate(*_gradient(m), *P, 0.1, math.nan, 10_000.0)
 
 
 class TestStepAccount:
@@ -243,6 +234,6 @@ class TestStepAccount:
         g = 0.05
         for _ in range(500):
             x1, x2 = rng.uniform(-g, g, 2)
-            n1, n2 = allocate(m, *P, 0.1, 0.02, value, leverage=1.0)
+            n1, n2 = allocate(*_gradient(m), *P, 0.1, 0.02, value, leverage=1.0)
             dv = n1 * (P[0] * x1) + n2 * (P[1] * x2)
             assert dv >= -g * value * (1.0 + 1e-12)
