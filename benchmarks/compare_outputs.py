@@ -9,8 +9,11 @@ the `backtest` pair and the 36 `screen` pairs. Each tree then runs these
 calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
 
 - `backtest` on every one of those inputs, in both threshold modes
-- `montecarlo --seed S`, its other settings at their defaults
-- `verify-lemma --samples 10000 --seed S`
+- `montecarlo --seed S`, its other settings at their defaults, and again in
+  exact mode with `--bins 4 --leverage 2.5`
+- `verify-lemma --samples 10000 --seed S`, and again with gamma, band, p0,
+  beta and mu moved off their defaults
+- the invalid settings in `ERROR_CALLS`, which must fail alike
 
 It lists every exit code, stdout, stderr and output file whose bytes differ
 between the trees, and exits 1 if anything differs. Giving the same tree
@@ -30,6 +33,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
 CALL_TIMEOUT_S = 600
+# invalid settings: each must fail the same way, exit code and stderr
+ERROR_CALLS = [
+    ("verify-lemma", ["--seed", "-1"]),
+    ("verify-lemma", ["--p0", "0", "50"]),
+    ("verify-lemma", ["--gamma", "1"]),
+    ("verify-lemma", ["--band", "0"]),
+    ("verify-lemma", ["--samples", "0"]),
+    ("verify-lemma", ["--beta", "nan"]),
+    ("montecarlo", ["--leverage", "0"]),
+    ("montecarlo", ["--trials", "0"]),
+    ("montecarlo", ["--seed", "-1"]),
+]
 
 
 def load_inputs():
@@ -53,7 +68,13 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
             out.append((name, ["backtest", "--input", str(path), "--out-dir", f"out/{name}",
                                "--threshold-mode", mode]))
     out.append(("montecarlo", ["montecarlo", "--seed", str(seed)]))
+    out.append(("montecarlo-exact", ["montecarlo", "--threshold-mode", "exact", "--bins", "4",
+                                     "--leverage", "2.5", "--seed", str(seed)]))
     out.append(("lemma", ["verify-lemma", "--samples", "10000", "--seed", str(seed)]))
+    out.append(("lemma-moved", ["verify-lemma", "--gamma", "0.1", "--band", "0.5", "--p0", "40",
+                                "80", "--beta", "-0.5", "--mu", "0.3", "--seed", str(seed)]))
+    for command, bad in ERROR_CALLS:
+        out.append((f"{command} {' '.join(bad)}", [command, *bad]))
     return out
 
 

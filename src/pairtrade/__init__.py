@@ -30,7 +30,6 @@ from .estimation import (
     WindowConfig,
     estimate_eta,
     estimate_gamma,
-    sign,
 )
 from .ingest import (
     AdjustmentRule,
@@ -95,7 +94,6 @@ __all__ = [
     "max_drawdown",
     "return_arrays",
     "run_backtest",
-    "sign",
     "spread_gradient",
     "spread_hessian",
     "spread_value",

@@ -37,7 +37,8 @@ from .backtest import (
 from .domain import DomainError, PricePoint
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig
 from .ingest import AdjustmentRule, apply_adjustments, load_csv
-from .synthetic import OUPairSpec, verify_lemma, verify_theorem
+from .spread import CointegrationSpread
+from .synthetic import OUPairSpec, check_seed, verify_lemma, verify_theorem
 from .trading import THRESHOLD_MODES
 
 EXIT_OK = 0
@@ -278,24 +279,17 @@ def _validate_backtest(cfg: dict) -> BacktestConfig:
     )
 
 
-def _validate_spec(cfg: dict, **dynamics) -> OUPairSpec:
-    return OUPairSpec(
-        p0=PricePoint(*cfg["p0"]),
-        beta_true=cfg["beta"],
-        mu_true=cfg["mu"],
-        seed=cfg["seed"],
-        **dynamics,
-    )
-
-
 def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
-    spec = _validate_spec(
-        cfg,
+    spec = OUPairSpec(
         theta=cfg["theta"],
         sigma_s=cfg["sigma_s"],
         sigma_w=cfg["sigma_w"],
+        beta_true=cfg["beta"],
+        mu_true=cfg["mu"],
         gamma_cap=cfg["gamma_cap"],
         s0=cfg["s0"],
+        p0=PricePoint(*cfg["p0"]),
+        seed=cfg["seed"],
     )
     _require(cfg["trials"] >= 1, "--trials must be at least 1")
     _require(cfg["periods"] >= 2, "--periods must be at least 2")
@@ -314,14 +308,16 @@ def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
     return spec, gamma_assumed
 
 
-def _validate_lemma(cfg: dict) -> OUPairSpec:
+def _validate_lemma(cfg: dict) -> tuple[CointegrationSpread, PricePoint]:
     _require(cfg["samples"] >= 1, "--samples must be at least 1")
     _require(math.isfinite(cfg["band"]) and cfg["band"] > 0.0, "--band must be finite and positive")
     _require(
         math.isfinite(cfg["gamma"]) and 0.0 < cfg["gamma"] < 1.0, "--gamma must lie in (0, 1)"
     )
-    # the lemma needs no dynamics: a zero-noise spec carries (beta, mu, gamma, p0, seed)
-    return _validate_spec(cfg, theta=0.5, sigma_s=0.0, sigma_w=0.0, gamma_cap=cfg["gamma"])
+    p0 = PricePoint(*cfg["p0"])
+    model = CointegrationSpread(cfg["beta"], cfg["mu"])
+    check_seed(cfg["seed"])
+    return model, p0
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +396,12 @@ def _run_montecarlo(cfg: dict, validated: tuple[OUPairSpec, float]) -> None:
     _emit_json(cfg, payload, "montecarlo.json")
 
 
-def _run_lemma(cfg: dict, spec: OUPairSpec) -> None:
+def _run_lemma(cfg: dict, validated: tuple[CointegrationSpread, PricePoint]) -> None:
     """Monte Carlo check of the curvature bound."""
-    summary = verify_lemma(spec, samples=cfg["samples"], gamma=cfg["gamma"], band=cfg["band"])
+    model, p0 = validated
+    summary = verify_lemma(
+        model, p0, cfg["gamma"], samples=cfg["samples"], band=cfg["band"], seed=cfg["seed"]
+    )
     payload = {
         "samples": summary.samples,
         "gamma": summary.gamma,

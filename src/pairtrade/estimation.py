@@ -22,15 +22,6 @@ from .domain import DomainError, LengthError, PriceSeries, return_arrays
 DEFAULT_GAMMA_FLOOR = 1e-4
 
 
-def sign(x: float) -> float:
-    """Sign with sign(0) = 0."""
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
 @dataclass(frozen=True)
 class WindowConfig:
     """Staggered-window layout: train on train_len points, hold estimates

@@ -4,11 +4,18 @@ A block holds many independent paths side by side: row k is period k and
 column j is path j. Each kernel steps down the rows, one period for all paths
 at a time, so every path sees the scalar recursion's operations in the
 scalar recursion's order and gets the same doubles a one-path loop would.
+
+The one exception to one implementation per kernel: ou_recursion steps a
+one-path block over Python floats, with the same operations in the same
+order, because two ufunc calls on a 1-element row per period cost several
+times the arithmetic (generate_pair runs one path of up to 100k periods).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .spread import StationaryPointError
 
 
 def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
@@ -26,9 +33,17 @@ def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
     shocks = sigma_s * u
     s = np.empty((steps + 1, paths))
     s[0] = s0
-    for k in range(steps):
-        np.multiply(s[k], one_minus_theta, out=s[k + 1])
-        s[k + 1] += shocks[k]
+    if paths == 1:
+        sk = float(s[0, 0])
+        path = []
+        for shock in shocks[:, 0].tolist():
+            sk = sk * one_minus_theta + shock
+            path.append(sk)
+        s[1:, 0] = path
+    else:
+        for k in range(steps):
+            np.multiply(s[k], one_minus_theta, out=s[k + 1])
+            s[k + 1] += shocks[k]
     w = np.empty((steps + 1, paths))
     w[0] = w0
     np.multiply(sigma_w, v, out=w[1:])
@@ -37,25 +52,38 @@ def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
     return s, w
 
 
-def trade_scan(p1, p2, s, beta, tau, leverage, v0):
+def trade_scan(model, p1, p2, s, tau, leverage, v0):
     """Run the fully-invested threshold rule down every path of a block.
 
     p1, p2 and s have shape (periods, paths). Every path starts with account
-    value v0 and trades the log-linear spread with slope beta at threshold
-    tau. The last period is never traded: its profit would need period
-    `periods`. Returns (dv, sabs): the profit and |spread| of every traded
-    period, path after path and, within a path, in time order.
+    value v0 and trades against the spread direction whenever |s| > tau;
+    the holdings of period k follow model.gradient(p1[k], p2[k]). tau is a
+    float or any array that broadcasts against s[:-1]; a (periods - 1, 1)
+    column gives each period its own threshold. The last period is never
+    traded: its profit would need period `periods`. Returns (dv, sabs): the
+    profit and |spread| of every traded period, path after path and, within
+    a path, in time order.
+
+    A gradient that vanishes (or is not finite) at any point of the block
+    raises StationaryPointError, traded or not.
     """
     sabs = np.abs(s[:-1])
     on = sabs > tau
     v = np.full(s.shape[1], float(v0))
     dv = np.empty(on.shape)
-    for k in range(len(on)):
-        p1k, p2k = p1[k], p2[k]
-        g1 = -beta / p1k
-        g2 = 1.0 / p2k
-        lam = leverage * v / (np.abs(g1) * p1k + np.abs(g2) * p2k)
-        m = -lam * np.where(s[k] > 0.0, 1.0, -1.0)  # -lam sign(s)
-        np.add(m * g1 * (p1[k + 1] - p1k), m * g2 * (p2[k + 1] - p2k), out=dv[k])
-        np.add(v, dv[k], out=v, where=on[k])
+    # a stationary point divides by zero below; the check after the loop reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(on)):
+            p1k, p2k = p1[k], p2[k]
+            g1, g2 = model.gradient(p1k, p2k)
+            lam = leverage * v / (np.abs(g1) * p1k + np.abs(g2) * p2k)
+            m = -lam * np.where(s[k] > 0.0, 1.0, -1.0)  # -lam sign(s)
+            np.add(m * g1 * (p1[k + 1] - p1k), m * g2 * (p2[k + 1] - p2k), out=dv[k])
+            np.add(v, dv[k], out=v, where=on[k])
+    if not np.isfinite(dv).all():
+        k, j = np.argwhere(~np.isfinite(dv))[0]
+        raise StationaryPointError(
+            f"spread gradient vanishes or is not finite at ({p1[k, j]}, {p2[k, j]}), "
+            f"period {k} of path {j}"
+        )
     return dv.T[on.T], sabs.T[on.T]

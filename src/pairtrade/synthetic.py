@@ -25,12 +25,18 @@ import numpy as np
 
 from . import kernels
 from .domain import DomainError, LengthError, PricePoint, PriceSeries
-from .spread import CointegrationSpread, spread_gradient, spread_value
+from .spread import CointegrationSpread, SpreadModel, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
 # trials simulated side by side; bounds the block arrays of verify_theorem
 # (each (periods, CHUNK_TRIALS) array is 2 MB at 250 periods)
 CHUNK_TRIALS = 1024
+
+
+def check_seed(seed) -> None:
+    """Reject anything but a non-negative int, the seeds SeedSequence takes."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class OUPairSpec:
     offending bound in the message.
 
     p0.p1 seeds the driving log-price walk. p0.p2 is a reference price for
-    evaluation points (thresholds, lemma band centers); the generated p2(0)
-    itself is pinned by the identity log p2 = beta_true log p1 + mu_true + s
-    and generally differs from p0.p2 unless mu_true is chosen to match.
+    evaluating the thresholds; the generated p2(0) itself is pinned by the
+    identity log p2 = beta_true log p1 + mu_true + s and generally differs
+    from p0.p2 unless mu_true is chosen to match.
     """
 
     theta: float
@@ -69,10 +75,12 @@ class OUPairSpec:
                 raise DomainError(f"{name} must be finite, got {x!r}")
         if not (math.isfinite(self.gamma_cap) and 0.0 < self.gamma_cap < 1.0):
             raise DomainError(f"gamma_cap must lie in (0, 1), got {self.gamma_cap!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
-        budget = self.innovation_budget
-        b1, b2 = self.log_increment_bounds
+        check_seed(self.seed)
+        # worst-case |delta log p1| and |delta log p2| per period against the
+        # largest admissible |log increment|, with safety slack
+        b1 = self.sigma_w
+        b2 = abs(self.beta_true) * self.sigma_w + self.theta * self.spread_bound + self.sigma_s
+        budget = math.log1p(self.gamma_cap) * (1.0 - 1e-9)
         if b1 > budget or b2 > budget:
             raise DomainError(
                 "infeasible scales: worst-case log increments "
@@ -85,60 +93,6 @@ class OUPairSpec:
         """B with |s(k)| <= B for all k."""
         drift_cap = self.sigma_s / self.theta
         return max(abs(self.s0), drift_cap)
-
-    @property
-    def innovation_budget(self) -> float:
-        """Largest admissible per-period |log increment|, with safety slack."""
-        return math.log1p(self.gamma_cap) * (1.0 - 1e-9)
-
-    @property
-    def log_increment_bounds(self) -> tuple[float, float]:
-        """Worst-case |delta log p1| and |delta log p2| per period."""
-        b1 = self.sigma_w
-        b2 = abs(self.beta_true) * self.sigma_w + self.theta * self.spread_bound + self.sigma_s
-        return b1, b2
-
-    @classmethod
-    def sized_for_cap(
-        cls,
-        theta: float,
-        beta_true: float,
-        mu_true: float = 0.0,
-        gamma_cap: float = 0.05,
-        s0: float = 0.0,
-        p0: PricePoint | None = None,
-        seed: int = 0,
-        spread_share: float = 0.6,
-        utilization: float = 0.9,
-    ) -> "OUPairSpec":
-        """Largest sigma_s / sigma_w pair that provably respects gamma_cap.
-
-        spread_share splits the log-increment budget between the spread and
-        the driving walk; utilization leaves headroom below the cap.
-        """
-        if not (0.0 < spread_share < 1.0):
-            raise DomainError(f"spread_share must lie in (0, 1), got {spread_share!r}")
-        if not (0.0 < utilization <= 1.0):
-            raise DomainError(f"utilization must lie in (0, 1], got {utilization!r}")
-        budget = math.log1p(gamma_cap) * utilization * (1.0 - 1e-9)
-        sigma_s = spread_share * budget / 2.0
-        sigma_w = (1.0 - spread_share) * budget / max(1.0, abs(beta_true))
-        if theta > 0.0 and abs(s0) > sigma_s / theta:
-            raise DomainError(
-                f"|s0| = {abs(s0)!r} exceeds the stationary bound sigma_s / theta; "
-                "start the spread closer to zero or lower theta"
-            )
-        return cls(
-            theta=theta,
-            sigma_s=sigma_s,
-            sigma_w=sigma_w,
-            beta_true=beta_true,
-            mu_true=mu_true,
-            gamma_cap=gamma_cap,
-            s0=s0,
-            p0=p0 if p0 is not None else PricePoint(100.0, 50.0),
-            seed=seed,
-        )
 
 
 def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
@@ -199,16 +153,6 @@ class TheoremSummary:
     bin_counts: tuple[int, ...] | None = None
     bin_mean_dv: tuple[float, ...] | None = None
 
-    def confirms(self, alpha: float = 0.001) -> bool:
-        """True when traded profits are positive and significant at alpha."""
-        return (
-            self.trade_events > 0
-            and self.mean_dv is not None
-            and self.mean_dv > 0.0
-            and self.p_value is not None
-            and self.p_value < alpha
-        )
-
 
 def _one_sided_p(count: int, total: float, totsq: float) -> tuple[float | None, float | None]:
     """Mean and one-sided p-value for H0: mean <= 0, from running sums."""
@@ -254,6 +198,11 @@ def verify_theorem(
         raise DomainError(f"periods must be at least 2, got {periods}")
     if mode not in THRESHOLD_MODES:
         raise DomainError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
+    for name, x in (("leverage", leverage), ("initial_value", initial_value)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {x!r}")
+    if not (isinstance(collect_bins, int) and collect_bins >= 0):
+        raise DomainError(f"collect_bins must be a non-negative integer, got {collect_bins!r}")
     eta = spec.theta if eta_assumed is None else eta_assumed
     gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
 
@@ -276,7 +225,7 @@ def verify_theorem(
     rngs = trial_generators(spec.seed, trials)
     for start in range(0, trials, CHUNK_TRIALS):
         s, p1, p2 = _simulate(spec, periods, rngs[start : start + CHUNK_TRIALS])
-        dv, sabs = kernels.trade_scan(p1, p2, s, spec.beta_true, tau, leverage, initial_value)
+        dv, sabs = kernels.trade_scan(model, p1, p2, s, tau, leverage, initial_value)
         count += dv.size
         total += float(np.sum(dv))
         totsq += float(np.dot(dv, dv))
@@ -325,37 +274,42 @@ class LemmaSummary:
 
 
 def verify_lemma(
-    spec: OUPairSpec,
+    model: SpreadModel,
+    p0: PricePoint,
+    gamma: float,
     samples: int = 10_000,
-    gamma: float | None = None,
     band: float = 1.0,
+    seed: int = 0,
 ) -> LemmaSummary:
-    """Monte Carlo check of the curvature bound on the linearization error.
+    """Monte Carlo check of the curvature bound on the linearization error of
+    any spread model.
 
     Draws price points log-uniformly within exp(+-band) of p0 and admissible
-    displacements inside the gamma box, then compares the exact first-order
-    remainder of the spread against the worst-case curvature bound. The bound
-    equals eta * tau_exact for any positive eta, which cancels to a rate-free
-    quantity; it is evaluated here via tau_exact at eta = 1. The four box
-    corners of each point are always checked alongside the random draw.
+    displacements inside the gamma box from SeedSequence(seed), then compares
+    the exact first-order remainder of the spread against the worst-case
+    curvature bound. The bound equals eta * tau_exact for any positive eta,
+    which cancels to a rate-free quantity; it is evaluated here via tau_exact
+    at eta = 1. The four box corners of each point are always checked
+    alongside the random draw.
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
-    g = spec.gamma_cap if gamma is None else gamma
-    if not (0.0 < g < 1.0):
-        raise DomainError(f"gamma must lie in (0, 1), got {g!r}")
-    model = CointegrationSpread(spec.beta_true, spec.mu_true)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    if not (0.0 < gamma < 1.0):
+        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
+    if not (math.isfinite(band) and band > 0.0):
+        raise DomainError(f"band must be finite and positive, got {band!r}")
+    check_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     logs = rng.uniform(-band, band, size=(2, samples))
-    disp = rng.uniform(-g, g, size=(2, samples))
-    p1 = spec.p0.p1 * np.exp(logs[0])
-    p2 = spec.p0.p2 * np.exp(logs[1])
+    disp = rng.uniform(-gamma, gamma, size=(2, samples))
+    p1 = p0.p1 * np.exp(logs[0])
+    p2 = p0.p2 * np.exp(logs[1])
 
     bound = np.empty(samples)
     g1 = np.empty(samples)
     g2 = np.empty(samples)
     for i, (a, b) in enumerate(zip(p1.tolist(), p2.tolist())):
-        bound[i] = threshold_exact(model, a, b, g, eta=1.0)
+        bound[i] = threshold_exact(model, a, b, gamma, eta=1.0)
         g1[i], g2[i] = spread_gradient(model, a, b)
     s_p = spread_value(model, p1, p2)
     max_violation = -math.inf
@@ -363,6 +317,7 @@ def verify_lemma(
     max_ratio = 0.0
     positive = bound > 0.0
     # each sample's random displacement, then the four box corners
+    g = gamma
     for t1, t2 in ((disp[0], disp[1]), (g, g), (g, -g), (-g, g), (-g, -g)):
         d1 = p1 * t1
         d2 = p2 * t2
@@ -372,7 +327,7 @@ def verify_lemma(
         max_ratio = max(max_ratio, float(np.max(remainder[positive] / bound[positive], initial=0.0)))
     return LemmaSummary(
         samples=samples,
-        gamma=g,
+        gamma=gamma,
         max_violation=max_violation,
         max_remainder=max_remainder,
         max_ratio=max_ratio,

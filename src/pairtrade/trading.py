@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .domain import DomainError
-from .estimation import sign
 from .spread import SpreadModel, spread_hessian
 
 DEFAULT_GRID_POINTS = 41
@@ -41,26 +40,17 @@ def _per_point(worst: np.ndarray, eta: float):
     return tau if tau.ndim else float(tau)
 
 
-def threshold_exact(
-    model: SpreadModel,
-    p1,
-    p2,
-    gamma: float,
-    eta: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-):
+def threshold_exact(model: SpreadModel, p1, p2, gamma: float, eta: float):
     """Worst-case curvature threshold via a grid scan of the box.
 
-    The scan covers a grid_points x grid_points mesh of relative
-    displacements in [-gamma, gamma]^2, always including the corners and the
-    coordinate axes, and takes the max |quadratic form| over it.
+    The scan covers a DEFAULT_GRID_POINTS x DEFAULT_GRID_POINTS mesh of
+    relative displacements in [-gamma, gamma]^2, always including the corners
+    and the coordinate axes, and takes the max |quadratic form| over it.
     """
     _check_rates(gamma, eta)
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be at least 2, got {grid_points}")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    t = np.union1d(np.linspace(-gamma, gamma, grid_points), [-gamma, 0.0, gamma])
+    t = np.union1d(np.linspace(-gamma, gamma, DEFAULT_GRID_POINTS), [-gamma, 0.0, gamma])
     # displacements along the last axis; the mesh is (..., d1 index, d2 index)
     d1 = p1[..., None] * t
     d2 = p2[..., None] * t
@@ -105,5 +95,5 @@ def allocate(
     if not (abs(spread) > threshold):
         return 0.0, 0.0
     lam = leverage * account_value / (abs(g1) * p1 + abs(g2) * p2)
-    s = sign(spread)
+    s = math.copysign(1.0, spread)  # |spread| > threshold >= 0, so spread != 0
     return -lam * s * g1, -lam * s * g2

@@ -293,6 +293,19 @@ class TestVerifyLemmaCommand:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--p0", "0", "50"], "p1 must be a finite positive number, got 0.0"),
+            (["--beta", "nan"], "beta must be finite, got nan"),
+        ],
+    )
+    def test_model_arguments_validated(self, capsys, argv, message):
+        rc = main(["verify-lemma", *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_larger_gamma_weakens_nothing(self, capsys):
         # bound must hold across the gamma range, not just the default
         for gamma in ("0.01", "0.2"):

@@ -21,18 +21,11 @@ from pairtrade.estimation import (
     WindowConfig,
     estimate_eta,
     estimate_gamma,
-    sign,
 )
 
 
 def make_series(p1, p2):
     return PriceSeries([f"{i:06d}" for i in range(len(p1))], p1, p2)
-
-
-class TestSign:
-    @pytest.mark.parametrize("x,expected", [(3.2, 1.0), (-0.001, -1.0), (0.0, 0.0), (1e-300, 1.0)])
-    def test_values(self, x, expected):
-        assert sign(x) == expected
 
 
 class TestEstimateEta:

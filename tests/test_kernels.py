@@ -11,6 +11,10 @@ import pytest
 
 import scalar_oracle
 from pairtrade import kernels
+from pairtrade.spread import CointegrationSpread, StationaryPointError
+from spread_models import RatioSpread
+
+LOG_LINEAR = CointegrationSpread(2.0, 0.0)
 
 
 def _inputs(n=5_000, seed=123):
@@ -54,40 +58,49 @@ class TestOuRecursion:
 
 
 class TestTradeScan:
-    def test_matches_reference_loop(self):
+    @pytest.mark.parametrize(
+        "model, tau",
+        [
+            (LOG_LINEAR, 0.00625),
+            (RatioSpread(), 0.00625),
+            (LOG_LINEAR, np.linspace(0.0, 0.02, 300)[:, None]),
+        ],
+        ids=["log-linear", "ratio", "per-period-tau"],
+    )
+    def test_matches_reference_loop(self, model, tau):
         # independent reimplementation with the allocation primitives
-        from pairtrade.spread import CointegrationSpread
         from pairtrade.trading import allocate
 
         p1, p2, s = _block(300, paths=2)
-        tau, lev, v0 = 0.00625, 1.0, 10_000.0
-        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, tau, lev, v0)
+        lev, v0 = 1.0, 10_000.0
+        dv, sabs = kernels.trade_scan(model, p1, p2, s, tau, lev, v0)
 
-        model = CointegrationSpread(2.0, 0.0)
+        taus = np.broadcast_to(tau, s[:-1].shape)
         expect_dv, expect_sabs, finals = [], [], []
         for j in range(p1.shape[1]):
             value = v0
             for k in range(len(p1) - 1):
                 a, b = float(p1[k, j]), float(p2[k, j])
                 g1, g2 = (float(g) for g in model.gradient(a, b))
-                n1, n2 = allocate(g1, g2, a, b, float(s[k, j]), tau, value, lev)
-                if abs(float(s[k, j])) > tau:
+                tau_k = float(taus[k, j])
+                n1, n2 = allocate(g1, g2, a, b, float(s[k, j]), tau_k, value, lev)
+                if abs(float(s[k, j])) > tau_k:
                     step = n1 * (float(p1[k + 1, j]) - a) + n2 * (float(p2[k + 1, j]) - b)
                     expect_dv.append(step)
                     expect_sabs.append(abs(float(s[k, j])))
                     value += step
             finals.append(value)
         assert len(dv) == len(sabs) == len(expect_dv)
-        np.testing.assert_allclose(dv, expect_dv, rtol=1e-12)
+        assert np.array_equal(dv, expect_dv)
         assert np.array_equal(sabs, expect_sabs)
-        first = len(dv) - np.count_nonzero(np.abs(s[:-1, 1]) > tau)
+        first = len(dv) - np.count_nonzero(np.abs(s[:-1, 1]) > taus[:, 1])
         assert v0 + np.sum(dv[:first]) == pytest.approx(finals[0], rel=1e-12)
         assert v0 + np.sum(dv[first:]) == pytest.approx(finals[1], rel=1e-12)
 
     @pytest.mark.parametrize("tau, leverage", [(0.00625, 1.0), (0.02, 2.5), (0.0, 0.5)])
     def test_paths_equal_scalar_loop(self, tau, leverage):
         p1, p2, s = _block(1_000, paths=4)
-        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, tau, leverage, 10_000.0)
+        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, tau, leverage, 10_000.0)
         refs = [
             scalar_oracle.trade_scan(p1[:, j], p2[:, j], s[:, j], 2.0, tau, leverage, 10_000.0)
             for j in range(4)
@@ -97,7 +110,7 @@ class TestTradeScan:
 
     def test_infinite_tau_never_trades(self):
         p1, p2, s = _block(500)
-        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, math.inf, 1.0, 10_000.0)
+        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, math.inf, 1.0, 10_000.0)
         assert dv.size == 0 and sabs.size == 0
 
     def test_last_period_not_traded(self):
@@ -105,6 +118,17 @@ class TestTradeScan:
         p1 = np.array([[100.0], [101.0]])
         p2 = np.array([[50.0], [49.0]])
         s = np.array([[1.0], [1.0]])
-        dv, sabs = kernels.trade_scan(p1, p2, s, 2.0, 0.1, 1.0, 10_000.0)
+        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, 0.1, 1.0, 10_000.0)
         assert dv.size == 1
         assert sabs[0] == 1.0
+
+    @pytest.mark.parametrize("tau", [0.0, math.inf])
+    def test_stationary_point_raises(self, tau):
+        # the gradient vanishes at every point, traded or not
+        class Flat(CointegrationSpread):
+            def gradient(self, p1, p2):
+                return 0.0 * np.asarray(p1), 0.0 * np.asarray(p2)
+
+        p1, p2, s = _block(50)
+        with pytest.raises(StationaryPointError):
+            kernels.trade_scan(Flat(2.0, 0.0), p1, p2, s, tau, 1.0, 10_000.0)

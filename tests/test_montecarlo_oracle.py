@@ -68,6 +68,14 @@ class TestVerifyTheoremOracle:
         _assert_matches(summary, ref)
         assert summary.bin_counts == ref["bin_counts"]
 
+    def test_one_path_last_chunk(self):
+        # one trial left over: the last chunk runs ou_recursion's one-path loop
+        trials = synthetic.CHUNK_TRIALS + 1
+        summary = verify_theorem(SPEC, trials=trials, periods=30, collect_bins=3)
+        ref = scalar_oracle.verify_theorem(SPEC, trials, 30, collect_bins=3)
+        _assert_matches(summary, ref)
+        assert summary.bin_counts == ref["bin_counts"]
+
     def test_event_profits_equal(self, monkeypatch):
         # every event's profit is the scalar loop's double, in trial order
         from pairtrade import kernels

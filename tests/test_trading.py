@@ -19,25 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrade.domain import DomainError
-from pairtrade.spread import CointegrationSpread, SpreadModel
+from pairtrade.spread import CointegrationSpread
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
+from spread_models import RatioSpread
 
 P = (100.0, 50.0)
-
-
-class _RatioSpread(SpreadModel):
-    """S = p2 / p1, whose Hessian has a cross term. Test double."""
-
-    def value(self, p1, p2):
-        return np.asarray(p2) / p1
-
-    def gradient(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        return -np.asarray(p2) / (p1 * p1), 1.0 / p1
-
-    def hessian(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        return 2.0 * np.asarray(p2) / (p1 * p1 * p1), -1.0 / (p1 * p1), 0.0
 
 
 def closed_form_exact(beta: float, g: float, eta: float) -> float:
@@ -148,16 +134,11 @@ class TestThresholdExact:
         # Hessian has a cross term
         p1 = np.array([100.0, 3.0, 0.02, 57.0])
         p2 = np.array([50.0, 7000.0, 0.6, 57.0])
-        for m in (CointegrationSpread(beta=-0.7, mu=0.1), _RatioSpread()):
+        for m in (CointegrationSpread(beta=-0.7, mu=0.1), RatioSpread(0.0)):
             got = threshold(m, p1, p2, 0.05, eta)
             want = [threshold(m, a, b, 0.05, eta) for a, b in zip(p1.tolist(), p2.tolist())]
             assert isinstance(want[0], float)
             assert got.tolist() == want
-
-    def test_grid_points_domain(self):
-        m = CointegrationSpread(beta=2.0, mu=0.0)
-        with pytest.raises(DomainError):
-            threshold_exact(m, *P, 0.05, 0.1, grid_points=1)
 
 
 def _gradient(model):
