@@ -9,6 +9,11 @@ the `backtest` pair and the 36 `screen` pairs. Each tree then runs these
 calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
 
 - `backtest` on every one of those inputs, in both threshold modes
+- `backtest` on the `backtest` pair with each of the settings in
+  `BACKTEST_SETTINGS` (every window a one-row block, a partial last block,
+  leverage high enough that windows go untradeable with a warning, a fixed
+  gamma), and on `flat_p1.csv`, whose p1 stands still over rows 100-159 so
+  that five windows have no fit; each in both threshold modes
 - `montecarlo --seed S`, its other settings at their defaults, and again in
   exact mode with `--bins 4 --leverage 2.5`
 - `verify-lemma --samples 10000 --seed S`, and again with gamma, band, p0,
@@ -33,6 +38,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
 CALL_TIMEOUT_S = 600
+# extra backtest settings run on the backtest pair
+BACKTEST_SETTINGS = {
+    "train3-trade1": ["--train-len", "3", "--trade-len", "1"],
+    "trade7": ["--trade-len", "7"],
+    "leverage25": ["--leverage", "25"],
+    "leverage50": ["--leverage", "50"],
+    "gamma0.02": ["--gamma", "0.02"],
+}
 # invalid settings: each must fail the same way, exit code and stderr
 ERROR_CALLS = [
     ("verify-lemma", ["--seed", "-1"]),
@@ -56,17 +69,33 @@ def load_inputs():
     return module
 
 
+def write_flat_p1(source: Path, path: Path, rows: int = 300) -> None:
+    """The first rows of a date,p1,p2 CSV with p1 held at its row-100 text
+    over rows 100-159."""
+    lines = source.read_text(encoding="utf-8").splitlines()[: rows + 1]
+    flat = lines[101].split(",")[1]
+    for i in range(101, 161):
+        date, _, p2 = lines[i].split(",")
+        lines[i] = f"{date},{flat},{p2}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every call for one seed; a backtest writes to out/<name>."""
     inputs = load_inputs()
     backtest = data / "backtest.csv"
     inputs.backtest_input(seed, backtest)
+    flat_p1 = data / "flat_p1.csv"
+    write_flat_p1(backtest, flat_p1)
+    runs = [(path.stem, path, []) for path in [backtest, *inputs.screen_inputs(seed, data)]]
+    runs += [(f"backtest-{label}", backtest, extra) for label, extra in BACKTEST_SETTINGS.items()]
+    runs.append((flat_p1.stem, flat_p1, []))
     out = []
-    for path in [backtest, *inputs.screen_inputs(seed, data)]:
+    for stem, path, extra in runs:
         for mode in ("approx", "exact"):
-            name = f"{path.stem}-{mode}"
+            name = f"{stem}-{mode}"
             out.append((name, ["backtest", "--input", str(path), "--out-dir", f"out/{name}",
-                               "--threshold-mode", mode]))
+                               "--threshold-mode", mode, *extra]))
     out.append(("montecarlo", ["montecarlo", "--seed", str(seed)]))
     out.append(("montecarlo-exact", ["montecarlo", "--threshold-mode", "exact", "--bins", "4",
                                      "--leverage", "2.5", "--seed", str(seed)]))

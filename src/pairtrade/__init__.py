@@ -41,7 +41,6 @@ from .ingest import (
 )
 from .spread import (
     CointegrationSpread,
-    DegenerateRegressorError,
     SpreadModel,
     StationaryPointError,
     fit_cointegration,
@@ -68,7 +67,6 @@ __all__ = [
     "BacktestReport",
     "CointegrationSpread",
     "DEFAULT_GAMMA_FLOOR",
-    "DegenerateRegressorError",
     "DomainError",
     "FormatError",
     "Ledger",

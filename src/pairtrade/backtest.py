@@ -20,16 +20,11 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import DomainError, LengthError, PriceSeries
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig, estimate_eta, estimate_gamma
-from .spread import (
-    DegenerateRegressorError,
-    SpreadModel,
-    fit_cointegration,
-    spread_gradient,
-    spread_value,
-)
+from .spread import SpreadModel, fit_cointegration, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
 
 logger = logging.getLogger(__name__)
@@ -142,23 +137,24 @@ def max_drawdown(values) -> float:
 def run_backtest(
     series: PriceSeries,
     config: BacktestConfig | None = None,
-    fit_model: Callable[[PriceSeries], SpreadModel] = fit_cointegration,
+    fit_model: Callable[..., SpreadModel] = fit_cointegration,
 ) -> tuple[Ledger, BacktestReport]:
     """Run the staggered-window strategy over the series.
 
-    fit_model selects the model family: it is called on each training window
-    and must return a SpreadModel. Needs at least train_len + 2 observations.
-    Windows where leverage * gamma_hat >= 1 (or gamma_hat >= 1) are ruled
-    untradeable and skipped with a warning. So is a window whose fit raises
-    DegenerateRegressorError (constant log p1 under the default fitter): its
-    rows have NaN spread and estimates, an infinite threshold and no
-    position. If the account value ever drops to zero or below, trading
-    halts for the rest of the run.
+    fit_model selects the model family. It is called once, as fit_model(p1,
+    p2) on the training windows stacked as (windows, train_len) arrays, and
+    returns a SpreadModel whose parameters broadcast as (windows, 1). Needs
+    at least train_len + 2 observations. A window is untradeable, with a
+    warning, if gamma_hat >= 1 or leverage * gamma_hat >= 1, or if its
+    spread is not finite over its training prices (as with the NaN fit of a
+    constant log p1), which also gives its rows NaN spread and estimates.
+    Untradeable rows have an infinite threshold and no position. Trading
+    halts for good once the account value drops to zero or below.
 
-    Each refit's spreads, thresholds and gradients are evaluated over its
-    whole block of trade_len rows at once, so a stationary point anywhere in
-    a tradeable block raises StationaryPointError. Only the allocation and
-    the value recursion run row by row.
+    Spreads, thresholds and gradients are one call each over the trade rows
+    laid out as a (windows, trade_len) matrix, so a stationary point anywhere
+    in a tradeable block raises StationaryPointError. Only the allocation
+    and the value recursion run row by row.
     """
     if config is None:
         config = BacktestConfig()
@@ -171,44 +167,47 @@ def run_backtest(
         )
     threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
 
-    # an unfitted or untradeable window keeps these fills; NaN never exceeds tau = inf
-    rows = total - n_train
-    spread, beta, mu, gamma, eta, g1, g2 = (np.full(rows, math.nan) for _ in range(7))
-    tau = np.full(rows, math.inf)
-    for start in range(n_train, total, stride):
-        stop = min(start + stride, total)
-        block = slice(start - n_train, stop - n_train)
-        window = series.window(start - n_train, start)
-        try:
-            model = fit_model(window)
-        except DegenerateRegressorError as exc:
-            logger.warning("window ending at k=%d untradeable: %s", start, exc)
-            continue
+    # window j trains on rows [j * stride, j * stride + n_train) and trades
+    # the stride rows after it; its estimates are row j of (windows, 1) columns
+    train1 = sliding_window_view(series.p1[:-1], n_train)[::stride]
+    train2 = sliding_window_view(series.p2[:-1], n_train)[::stride]
+    model = fit_model(train1, train2)
+    eta = estimate_eta(spread_value(model, train1, train2))[:, None]
+    # eta is NaN exactly where the spread is not finite over the window
+    fitted = np.isfinite(eta)
+    if config.gamma_override is not None:
+        gamma = np.full(eta.shape, config.gamma_override)
+    else:
         # clipped into (0, 1]: a window whose raw bound reaches 1 never trades
-        if config.gamma_override is not None:
-            gamma_hat = config.gamma_override
-        else:
-            gamma_hat = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
-        eta_hat = estimate_eta(spread_value(model, window.p1, window.p2))
-        beta[block] = getattr(model, "beta", math.nan)
-        mu[block] = getattr(model, "mu", math.nan)
-        gamma[block] = gamma_hat
-        eta[block] = eta_hat
-        bp1 = series.p1[start:stop]
-        bp2 = series.p2[start:stop]
-        spread[block] = spread_value(model, bp1, bp2)
-        if not (gamma_hat < 1.0 and config.leverage * gamma_hat < 1.0):
-            logger.warning(
-                "window ending at k=%d untradeable: gamma_hat=%.6g, "
-                "leverage*gamma_hat=%.6g (both must be < 1)",
-                start,
-                gamma_hat,
-                config.leverage * gamma_hat,
-            )
-        elif eta_hat > 0.0:
-            tau[block] = threshold(model, bp1, bp2, gamma_hat, eta_hat)
-            g1[block], g2[block] = spread_gradient(model, bp1, bp2)
+        gamma = np.minimum(estimate_gamma(train1, train2, floor=config.gamma_floor), 1.0)[:, None]
+    bounded = (gamma < 1.0) & (config.leverage * gamma < 1.0)
+    for j in np.flatnonzero(~(fitted & bounded)).tolist():
+        g = gamma[j, 0]
+        why = f"gamma_hat={g:.6g}, leverage*gamma_hat={config.leverage * g:.6g} (both must be < 1)"
+        if not fitted[j, 0]:
+            why = "fitted spread is not finite"
+        logger.warning("window ending at k=%d untradeable: %s", n_train + j * stride, why)
+    tradeable = fitted & bounded & (eta > 0.0)
 
+    # the trade rows as a (windows, stride) matrix, NaN-padded at the end
+    rows = total - n_train
+    pad = [math.nan] * (len(train1) * stride - rows)
+    bp1, bp2 = (np.append(p[n_train:], pad).reshape(-1, stride) for p in (series.p1, series.p2))
+    spread = spread_value(model, bp1, bp2)
+    # untradeable rows go in as NaN prices with eta 0, so tau = inf, and a
+    # stand-in gamma: neither call raises or warns on them
+    tp1, tp2 = (np.where(tradeable, b, math.nan) for b in (bp1, bp2))
+    tau = threshold(model, tp1, tp2, np.where(tradeable, gamma, 0.5), np.where(tradeable, eta, 0.0))
+    g1, g2 = spread_gradient(model, tp1, tp2)
+
+    # ledger columns from blocks that broadcast to the trade matrix
+    def column(block):
+        return np.broadcast_to(block, bp1.shape).reshape(-1)[:rows]
+
+    def estimate(block):  # NaN in the windows without a fit
+        return column(np.where(fitted, block, math.nan))
+
+    spread, tau, g1, g2 = estimate(spread), column(tau), column(g1), column(g2)
     p1 = series.p1.tolist()
     p2 = series.p2.tolist()
     value = config.initial_value
@@ -239,10 +238,10 @@ def run_backtest(
         p2=series.p2[n_train:],
         spread=spread,
         threshold=tau,
-        beta=beta,
-        mu=mu,
-        gamma=gamma,
-        eta=eta,
+        beta=estimate(getattr(model, "beta", math.nan)),
+        mu=estimate(getattr(model, "mu", math.nan)),
+        gamma=estimate(gamma),
+        eta=estimate(eta),
         n1=np.array(n1 + flat),
         n2=np.array(n2 + flat),
         value=np.array(values + [value] * (rows - halt)),

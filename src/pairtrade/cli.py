@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -402,14 +402,7 @@ def _run_lemma(cfg: dict, validated: tuple[CointegrationSpread, PricePoint]) -> 
     summary = verify_lemma(
         model, p0, cfg["gamma"], samples=cfg["samples"], band=cfg["band"], seed=cfg["seed"]
     )
-    payload = {
-        "samples": summary.samples,
-        "gamma": summary.gamma,
-        "max_violation": summary.max_violation,
-        "max_remainder": summary.max_remainder,
-        "max_ratio": summary.max_ratio,
-    }
-    _emit_json(cfg, payload, "verify_lemma.json")
+    _emit_json(cfg, asdict(summary), "verify_lemma.json")
 
 
 # validate(cfg) raises UsageError or DomainError before any work; run(cfg, validated)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, PriceSeries, return_arrays
+from .domain import DomainError, LengthError
 
 DEFAULT_GAMMA_FLOOR = 1e-4
 
@@ -37,32 +37,35 @@ class WindowConfig:
             raise DomainError(f"trade_len must be an integer >= 1, got {self.trade_len!r}")
 
 
-def estimate_gamma(window: PriceSeries, floor: float = DEFAULT_GAMMA_FLOOR) -> float:
-    """Max absolute relative return over the window; `floor` only if that max is 0."""
+def estimate_gamma(p1, p2, floor: float = DEFAULT_GAMMA_FLOOR) -> np.ndarray:
+    """Max absolute relative return over each window of the (..., n) price
+    arrays, shaped (...); `floor` only where that max is 0."""
     if not (math.isfinite(floor) and floor > 0.0):
         raise DomainError(f"floor must be finite and positive, got {floor!r}")
-    rets = return_arrays(window)
-    m = float(np.max(np.abs(rets)))
-    return floor if m == 0.0 else m
+    m = 0.0
+    for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)):
+        if p.ndim == 0 or p.shape[-1] < 2:
+            raise LengthError("returns need at least two observations")
+        # the returns of return_arrays, p[k+1] / p[k] - 1
+        m = np.maximum(m, np.max(np.abs(p[..., 1:] / p[..., :-1] - 1.0), axis=-1))
+    return np.where(m == 0.0, floor, m)
 
 
-def estimate_eta(spread_series) -> float:
-    """Reversion-rate estimate from a spread sample path.
+def estimate_eta(spread_series) -> np.ndarray:
+    """Reversion-rate estimate of each spread path along the last axis.
 
-    Returns 0.0 when the spread is identically zero over the window (the
-    denominator vanishes). The final sample enters only through its
-    difference with the one before it.
+    0.0 where the path is identically zero (the denominator vanishes), NaN
+    where it holds a non-finite value. The final sample enters only through
+    its difference with the one before it.
     """
     s = np.asarray(spread_series, dtype=float)
-    if s.ndim != 1:
-        raise DomainError(f"spread series must be one-dimensional, got shape {s.shape}")
-    if s.size < 2:
-        raise LengthError(f"eta estimate needs at least 2 samples, got {s.size}")
-    if not np.all(np.isfinite(s)):
-        raise DomainError("spread series contains non-finite values")
-    head = s[:-1]
-    num = -float(np.sum(np.sign(head) * np.diff(s)))
-    den = float(np.sum(np.abs(head)))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    n = s.shape[-1] if s.ndim else 1
+    if n < 2:
+        raise LengthError(f"eta estimate needs at least 2 samples, got {n}")
+    finite = np.isfinite(s).all(axis=-1)
+    s = np.where(finite[..., None], s, 0.0)
+    head = s[..., :-1]
+    num = -np.sum(np.sign(head) * np.diff(s, axis=-1), axis=-1)
+    den = np.sum(np.abs(head), axis=-1)
+    eta = np.divide(num, den, out=np.zeros(den.shape), where=den != 0.0)
+    return np.where(finite, eta, math.nan)

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, PriceSeries
+from .domain import DomainError, LengthError
 
 
 class StationaryPointError(RuntimeError):
     """The spread gradient vanished; the allocation direction is undefined there."""
-
-
-class DegenerateRegressorError(ValueError):
-    """log p1 is constant over the window, so the slope is unidentifiable."""
 
 
 class SpreadModel(ABC):
@@ -34,6 +30,7 @@ class SpreadModel(ABC):
     differentiable on the positive quadrant and must not have stationary
     points. Stationarity is checked pointwise wherever a gradient is
     consumed; a quadrant-wide guarantee is the implementer's responsibility.
+    A model fitted on (..., n) windows holds parameters shaped (..., 1).
     """
 
     @abstractmethod
@@ -55,10 +52,12 @@ def spread_value(model: SpreadModel, p1, p2):
 
 
 def spread_gradient(model: SpreadModel, p1, p2):
-    """(g1, g2); rejects stationary points."""
+    """(g1, g2); rejects stationary points, naming the first one."""
     g1, g2 = model.gradient(p1, p2)
-    if not np.logical_or(g1, g2).all():
-        raise StationaryPointError(f"spread gradient vanishes at ({p1}, {p2})")
+    moves = np.logical_or(g1, g2)
+    if not moves.all():
+        a, b = (np.broadcast_to(p, moves.shape)[~moves][0] for p in (p1, p2))
+        raise StationaryPointError(f"spread gradient vanishes at ({a}, {b})")
     return g1, g2
 
 
@@ -69,14 +68,15 @@ def spread_hessian(model: SpreadModel, p1, p2):
 
 @dataclass(frozen=True)
 class CointegrationSpread(SpreadModel):
-    """Log-linear spread S(p) = log p2 - beta log p1 - mu."""
+    """Log-linear spread S(p) = log p2 - beta log p1 - mu; beta and mu are
+    floats or per-window arrays, NaN in a window without a fit."""
 
-    beta: float
-    mu: float
+    beta: float | np.ndarray
+    mu: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, x in (("beta", self.beta), ("mu", self.mu)):
-            if not math.isfinite(x):
+            if np.ndim(x) == 0 and not math.isfinite(x):
                 raise DomainError(f"{name} must be finite, got {x!r}")
 
     def value(self, p1, p2):
@@ -91,21 +91,21 @@ class CointegrationSpread(SpreadModel):
         return self.beta / (p1 * p1), 0.0, -1.0 / (p2 * p2)
 
 
-def fit_cointegration(window: PriceSeries) -> CointegrationSpread:
-    """Least-squares fit of log p2 = beta log p1 + mu over the window.
-
-    Needs at least 3 observations and non-constant log p1.
-    """
-    if len(window) < 3:
-        raise LengthError(f"cointegration fit needs at least 3 observations, got {len(window)}")
-    x = np.log(window.p1)
-    y = np.log(window.p2)
-    xm = float(np.mean(x))
-    ym = float(np.mean(y))
-    dx = x - xm
-    sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
-        raise DegenerateRegressorError("log p1 is constant over the window")
-    beta = float(np.dot(dx, y - ym)) / sxx
-    mu = ym - beta * xm
-    return CointegrationSpread(beta=beta, mu=mu)
+def fit_cointegration(p1, p2) -> CointegrationSpread:
+    """Least-squares fit of log p2 = beta log p1 + mu over each window of
+    the (..., n) price arrays, n >= 3; beta and mu are shaped (..., 1), NaN
+    for a window of constant log p1."""
+    x = np.log(p1)
+    y = np.log(p2)
+    n = x.shape[-1] if x.ndim else 1
+    if n < 3:
+        raise LengthError(f"cointegration fit needs at least 3 observations, got {n}")
+    xm = np.mean(x, axis=-1, keepdims=True)
+    ym = np.mean(y, axis=-1, keepdims=True)
+    dx = (x - xm).reshape(-1, n)
+    dy = (y - ym).reshape(-1, n)
+    # one np.dot per window: a batched einsum sums in another order
+    sxx = np.array([np.dot(a, a) for a in dx]).reshape(xm.shape)
+    sxy = np.array([np.dot(a, b) for a, b in zip(dx, dy)]).reshape(xm.shape)
+    beta = np.divide(sxy, sxx, out=np.full(sxx.shape, math.nan), where=sxx != 0.0)
+    return CointegrationSpread(beta=beta, mu=ym - beta * xm)

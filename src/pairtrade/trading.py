@@ -7,8 +7,8 @@ uncertainty box of one-period price moves:
     tau_exact  = max over p' in box |(p'-p)' H(p') (p'-p)| / (2 eta)
     tau_approx = gamma^2 |p' H(p) p| / (2 eta)
 
-Both thresholds work elementwise over broadcastable price arrays. Non-positive
-eta gives tau = +inf, which disables trading. Holdings are
+Both thresholds work elementwise over broadcastable price, gamma and eta
+arrays. Non-positive eta gives tau = +inf, which disables trading. Holdings are
 n = -lambda sign(S) grad S with lambda > 0 chosen so the gross exposure
 |n1| p1 + |n2| p2 equals leverage * account_value exactly.
 """
@@ -22,52 +22,59 @@ import numpy as np
 from .domain import DomainError
 from .spread import SpreadModel, spread_hessian
 
-DEFAULT_GRID_POINTS = 41
 THRESHOLD_MODES = ("approx", "exact")
+# 41 relative displacements; -1, 0 and 1 (the box's corners and axes) exactly
+UNIT_GRID = np.linspace(-1.0, 1.0, 41)
+# mesh points times price points threshold_exact evaluates at once
+MESH_CHUNK = 1 << 17
 
 
-def _check_rates(gamma: float, eta: float) -> None:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and 0.0 < gamma < 1.0):
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta!r}")
+def _as_arrays(p1, p2, gamma, eta) -> tuple[np.ndarray, ...]:
+    p1, p2, gamma, eta = (np.asarray(x, dtype=float) for x in (p1, p2, gamma, eta))
+    if not ((gamma > 0.0) & (gamma < 1.0)).all():
+        raise DomainError(f"gamma must lie in (0, 1), got {gamma.tolist()!r}")
+    if not np.isfinite(eta).all():
+        raise DomainError(f"eta must be finite, got {eta.tolist()!r}")
+    return p1, p2, gamma, eta
 
 
-def _per_point(worst: np.ndarray, eta: float):
-    """worst / (2 eta) per price point, +inf for non-positive eta; a float
-    for scalar prices."""
-    tau = worst / (2.0 * eta) if eta > 0.0 else np.full(worst.shape, math.inf)
+def _per_point(worst: np.ndarray, eta: np.ndarray):
+    """worst / (2 eta) per price point, +inf where eta is non-positive; a
+    float for scalar inputs."""
+    tau = np.full(np.broadcast(worst, eta).shape, math.inf)
+    np.divide(worst, 2.0 * eta, out=tau, where=eta > 0.0)
     return tau if tau.ndim else float(tau)
 
 
-def threshold_exact(model: SpreadModel, p1, p2, gamma: float, eta: float):
+def threshold_exact(model: SpreadModel, p1, p2, gamma, eta):
     """Worst-case curvature threshold via a grid scan of the box.
 
-    The scan covers a DEFAULT_GRID_POINTS x DEFAULT_GRID_POINTS mesh of
-    relative displacements in [-gamma, gamma]^2, always including the corners
-    and the coordinate axes, and takes the max |quadratic form| over it.
+    The scan covers the square mesh gamma * UNIT_GRID of relative
+    displacements in [-gamma, gamma]^2 and takes the max |quadratic form|
+    over it, about MESH_CHUNK entries at a time to bound the memory.
     """
-    _check_rates(gamma, eta)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    t = np.union1d(np.linspace(-gamma, gamma, DEFAULT_GRID_POINTS), [-gamma, 0.0, gamma])
-    # displacements along the last axis; the mesh is (..., d1 index, d2 index)
-    d1 = p1[..., None] * t
-    d2 = p2[..., None] * t
-    h11, h12, h22 = spread_hessian(
-        model, (p1[..., None] + d1)[..., :, None], (p2[..., None] + d2)[..., None, :]
-    )
-    q = (d1 * d1)[..., :, None] * h11 + (d2 * d2)[..., None, :] * h22
-    if np.any(h12):
-        q = q + 2.0 * d1[..., :, None] * d2[..., None, :] * h12
-    return _per_point(np.max(np.abs(q), axis=(-2, -1)), eta)
+    p1, p2, gamma, eta = _as_arrays(p1, p2, gamma, eta)
+    shape = np.broadcast(p1, p2, gamma).shape
+    # a chunk is side x side mesh points; the mesh axes lead the price axes,
+    # so model parameters shaped like the prices still broadcast
+    side = min(len(UNIT_GRID), max(1, math.isqrt(MESH_CHUNK // max(1, math.prod(shape)))))
+    lead = (1,) * len(shape)
+    worst = np.zeros(shape)
+    for i in range(0, len(UNIT_GRID), side):
+        d1 = p1 * (gamma * UNIT_GRID[i : i + side].reshape(-1, 1, *lead))
+        for j in range(0, len(UNIT_GRID), side):
+            d2 = p2 * (gamma * UNIT_GRID[j : j + side].reshape(1, -1, *lead))
+            h11, h12, h22 = spread_hessian(model, p1 + d1, p2 + d2)
+            q = d1 * d1 * h11 + d2 * d2 * h22
+            if not (np.isscalar(h12) and h12 == 0.0):
+                q = q + 2.0 * d1 * d2 * h12
+            worst = np.maximum(worst, np.max(np.abs(q), axis=(0, 1)))
+    return _per_point(worst, eta)
 
 
-def threshold_approx(model: SpreadModel, p1, p2, gamma: float, eta: float):
+def threshold_approx(model: SpreadModel, p1, p2, gamma, eta):
     """Second-order threshold using only the Hessian at the center point."""
-    _check_rates(gamma, eta)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    p1, p2, gamma, eta = _as_arrays(p1, p2, gamma, eta)
     h11, h12, h22 = spread_hessian(model, p1, p2)
     quad = p1 * p1 * h11 + 2.0 * p1 * p2 * h12 + p2 * p2 * h22
     return _per_point(gamma * gamma * np.abs(quad), eta)

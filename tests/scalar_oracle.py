@@ -5,9 +5,11 @@ kernels became time-major numpy blocks. Tests compare the package against
 them: the same per-trial streams must give the same paths and trade events,
 with pooled sums equal up to summation order.
 
-run_backtest is the backtest engine's row-at-a-time loop from before spreads,
-thresholds and gradients were evaluated per trade block and the ledger became
-columns: it calls the spread API on one price point at a time and records one
+run_backtest is the backtest engine's row-at-a-time loop from before it
+fitted every window in one call, evaluated spreads, thresholds and gradients
+over whole blocks and returned columns: it refits one training window at a
+time with the per-window fit_cointegration, estimate_gamma and estimate_eta
+below, calls the spread API on one price point at a time and records one
 LedgerRow per period. write_ledger_csv and write_plot_csv are the csv.writer
 paths that wrote those rows, one field list per row.
 """
@@ -22,14 +24,8 @@ import numpy as np
 from scipy import stats
 
 from pairtrade.backtest import LEDGER_COLUMNS, buy_and_hold
-from pairtrade.estimation import estimate_eta, estimate_gamma
-from pairtrade.spread import (
-    CointegrationSpread,
-    DegenerateRegressorError,
-    fit_cointegration,
-    spread_gradient,
-    spread_value,
-)
+from pairtrade.domain import return_arrays
+from pairtrade.spread import CointegrationSpread, spread_gradient, spread_value
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
 
@@ -185,8 +181,49 @@ class LedgerRow:
     active: bool
 
 
+def fit_cointegration(p1, p2):
+    """Least-squares fit of log p2 = beta log p1 + mu over one window, with
+    float parameters; None when log p1 is constant."""
+    x = np.log(p1)
+    y = np.log(p2)
+    xm = float(np.mean(x))
+    ym = float(np.mean(y))
+    dx = x - xm
+    sxx = float(np.dot(dx, dx))
+    if sxx == 0.0:
+        return None
+    beta = float(np.dot(dx, y - ym)) / sxx
+    return CointegrationSpread(beta=beta, mu=ym - beta * xm)
+
+
+def estimate_gamma(window, floor):
+    """Max absolute relative return over one window; `floor` only if that max is 0."""
+    m = float(np.max(np.abs(return_arrays(window))))
+    return floor if m == 0.0 else m
+
+
+def estimate_eta(path):
+    """Reversion-rate estimate from one spread path of floats."""
+    s = np.asarray(path, dtype=float)
+    head = s[:-1]
+    num = -float(np.sum(np.sign(head) * np.diff(s)))
+    den = float(np.sum(np.abs(head)))
+    return 0.0 if den == 0.0 else num / den
+
+
+def _float(x):
+    """A float from a float or a one-element array: a model fitted on one
+    window holds parameters shaped (1,)."""
+    return np.asarray(x, dtype=float).item()
+
+
 def run_backtest(series, config, fit_model=fit_cointegration):
-    """Ledger rows of pairtrade.backtest.run_backtest, computed row by row."""
+    """Ledger rows of pairtrade.backtest.run_backtest, computed row by row.
+
+    fit_model is called on one training window at a time, as
+    fit_model(p1, p2); a window without a model (None) or whose spread is
+    not finite over it trades nothing and has NaN estimates.
+    """
     n_train = config.window.train_len
     stride = config.window.trade_len
     threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
@@ -199,9 +236,12 @@ def run_backtest(series, config, fit_model=fit_cointegration):
     for k in range(n_train, len(series)):
         if (k - n_train) % stride == 0:
             window = series.window(k - n_train, k)
-            try:
-                model = fit_model(window)
-            except DegenerateRegressorError:
+            model = fit_model(window.p1, window.p2)
+            path = [] if model is None else [
+                _float(spread_value(model, float(window.p1[j]), float(window.p2[j])))
+                for j in range(len(window))
+            ]
+            if not (path and all(math.isfinite(x) for x in path)):
                 model = None
                 estimates = (math.nan,) * 4
                 tradeable = False
@@ -209,29 +249,25 @@ def run_backtest(series, config, fit_model=fit_cointegration):
                 if config.gamma_override is not None:
                     gamma = config.gamma_override
                 else:
-                    gamma = min(estimate_gamma(window, floor=config.gamma_floor), 1.0)
-                path = [
-                    float(spread_value(model, float(window.p1[j]), float(window.p2[j])))
-                    for j in range(len(window))
-                ]
+                    gamma = min(estimate_gamma(window, config.gamma_floor), 1.0)
                 eta = estimate_eta(path)
                 estimates = (
-                    float(getattr(model, "beta", math.nan)),
-                    float(getattr(model, "mu", math.nan)),
+                    _float(getattr(model, "beta", math.nan)),
+                    _float(getattr(model, "mu", math.nan)),
                     gamma,
                     eta,
                 )
                 tradeable = gamma < 1.0 and config.leverage * gamma < 1.0 and eta > 0.0
         p1, p2 = float(series.p1[k]), float(series.p2[k])
-        spread = math.nan if model is None else float(spread_value(model, p1, p2))
-        tau = threshold(model, p1, p2, estimates[2], estimates[3]) if tradeable else math.inf
+        spread = math.nan if model is None else _float(spread_value(model, p1, p2))
+        tau = _float(threshold(model, p1, p2, estimates[2], estimates[3])) if tradeable else math.inf
         if halted or value <= 0.0:
             halted = True
             n1, n2, active = 0.0, 0.0, False
         else:
             active = abs(spread) > tau
             g1, g2 = spread_gradient(model, p1, p2) if active else (math.nan, math.nan)
-            n1, n2 = allocate(float(g1), float(g2), p1, p2, spread, tau, value, config.leverage)
+            n1, n2 = allocate(_float(g1), _float(g2), p1, p2, spread, tau, value, config.leverage)
         rows.append(LedgerRow(k, series.dates[k], p1, p2, spread, tau, *estimates, n1, n2, value, active))
         if k + 1 < len(series):
             value = value + (n1 * (float(series.p1[k + 1]) - p1) + n2 * (float(series.p2[k + 1]) - p2))

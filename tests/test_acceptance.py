@@ -135,10 +135,10 @@ class TestAcceptance:
         x2 = np.diff(p2) / p2[:-1]
         brute = max(np.abs(x1).max(), np.abs(x2).max())
         # independent op order (diff/p vs p1/p0 - 1), so allow rounding noise
-        gamma_ok = math.isclose(estimate_gamma(series), brute, rel_tol=1e-12)
+        gamma_ok = math.isclose(estimate_gamma(series.p1, series.p2), brute, rel_tol=1e-12)
 
         capped = generate_pair(OUPairSpec(**GEN, seed=5), 500)
-        cap_ok = estimate_gamma(capped) <= GEN["gamma_cap"]
+        cap_ok = estimate_gamma(capped.p1, capped.p2) <= GEN["gamma_cap"]
 
         ok = hand_ok and decay_ok and gamma_ok and cap_ok
         with capsys.disabled():
@@ -265,5 +265,5 @@ class _TrendModel(SpreadModel):
         return -1.0 / (p1 * p1), 0.0, 0.0
 
 
-def _fit_trend(window):
-    return _TrendModel(float(np.min(np.log(window.p1))) - 1.0)
+def _fit_trend(p1, p2):
+    return _TrendModel(np.min(np.log(p1), axis=-1, keepdims=True) - 1.0)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scalar_oracle
 from pairtrade.backtest import (
@@ -223,12 +225,12 @@ class _StationaryAt(SpreadModel):
         return self.inner.hessian(p1, p2)
 
 
-def _fit_trend(window):
-    return _TrendModel(float(np.min(np.log(window.p1))) - 1.0)
+def _fit_trend(p1, p2):
+    return _TrendModel(np.min(np.log(p1), axis=-1, keepdims=True) - 1.0)
 
 
-def _fit_level(window):
-    return CointegrationSpread(0.0, float(np.mean(np.log(window.p2))))
+def _fit_level(p1, p2):
+    return CointegrationSpread(0.0, np.mean(np.log(p2), axis=-1, keepdims=True))
 
 
 BANKRUPTCY = (
@@ -259,7 +261,7 @@ class TestDegenerateConditions:
         assert np.all((ledger.n1[degenerate] == 0.0) & (ledger.n2[degenerate] == 0.0))
         assert not np.isnan(ledger.spread[~degenerate]).any()
         # one warning per degenerate window
-        assert len([m for m in caplog.messages if "log p1 is constant" in m]) == 5
+        assert len([m for m in caplog.messages if "fitted spread is not finite" in m]) == 5
         assert ledger.active[ledger.k < 140].any()
         assert ledger.active[ledger.k >= 165].any()
         assert math.isfinite(report.final_value)
@@ -308,8 +310,8 @@ class TestDegenerateConditions:
         p1_star = float(ledger.p1[idle[0]])
         assert np.count_nonzero(series.p1 == p1_star) == 1
 
-        def fit(window):
-            return _StationaryAt(fit_cointegration(window), p1_star)
+        def fit(p1, p2):
+            return _StationaryAt(fit_cointegration(p1, p2), p1_star)
 
         with pytest.raises(StationaryPointError):
             run_backtest(series, fit_model=fit)
@@ -340,28 +342,28 @@ def _estimates(ledger):
 
 
 class TestScalarOracle:
-    """The block engine against scalar_oracle.run_backtest, the row-at-a-time
-    loop it replaced. k, dates, prices, beta, mu, gamma, holdings, value and
-    active must be equal. spread, eta and threshold may differ in the last
-    bits: the engine takes logs of whole price arrays and the oracle of one
-    float at a time, and numpy may route the two through different log
-    implementations (math.log and np.log already disagree by an ulp on about
-    1 in 2,000 values), so the spread gets an absolute 1e-14 (about 16 ulps
-    of a log price near 5) and eta and threshold, which divide sums over a
-    window of such spreads, a relative 1e-11."""
+    """The one-pass engine against scalar_oracle.run_backtest, the row-at-a-time
+    loop with per-window refits that it replaced. k, dates, prices, beta, mu,
+    gamma, holdings, value and active must be equal. spread, eta and
+    threshold may differ in the last bits: the engine takes logs of whole
+    price arrays and the oracle of one float at a time, and numpy may route
+    the two through different log implementations (math.log and np.log
+    already disagree by an ulp on about 1 in 2,000 values), so the spread
+    gets an absolute 1e-14 (about 16 ulps of a log price near 5) and eta and
+    threshold, which divide sums over a window of such spreads, a relative
+    1e-11."""
 
     EXACT = ("k", "date", "p1", "p2", "beta", "mu", "gamma", "n1", "n2", "value", "active")
 
     @pytest.mark.parametrize(
         "case",
         [
-            pytest.param(lambda: (synthetic_series(seed=4, length=400), BacktestConfig(),
-                                  fit_cointegration), id="synthetic-approx"),
+            pytest.param(lambda: (synthetic_series(seed=4, length=400), BacktestConfig(), None),
+                         id="synthetic-approx"),
             pytest.param(lambda: (synthetic_series(seed=4, length=400),
-                                  BacktestConfig(threshold_mode="exact", leverage=2.0),
-                                  fit_cointegration), id="synthetic-exact"),
-            pytest.param(lambda: (flat_p1_series(), BacktestConfig(), fit_cointegration),
-                         id="flat-p1"),
+                                  BacktestConfig(threshold_mode="exact", leverage=2.0), None),
+                         id="synthetic-exact"),
+            pytest.param(lambda: (flat_p1_series(), BacktestConfig(), None), id="flat-p1"),
             pytest.param(lambda: BANKRUPTCY, id="bankruptcy"),
             pytest.param(lambda: (make_series(100.0 * np.power(1.01, np.arange(80)),
                                               np.full(80, 50.0)),
@@ -369,9 +371,45 @@ class TestScalarOracle:
         ],
     )
     def test_matches_row_loop(self, case):
-        series, cfg, fit = case()
-        ledger, report = run_backtest(series, cfg, fit_model=fit)
-        ref = scalar_oracle.run_backtest(series, cfg, fit)
+        self.check(*case())
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(5, 120),
+        train_len=st.integers(3, 30),
+        trade_len=st.integers(1, 40),
+        flat=st.one_of(st.none(), st.tuples(st.integers(0, 119), st.integers(3, 60))),
+        leverage=st.sampled_from([1.0, 2.0, 25.0, 60.0]),
+        mode=st.sampled_from(["approx", "exact"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_layouts_match_row_loop(
+        self, seed, length, train_len, trade_len, flat, leverage, mode
+    ):
+        # any window layout: a partial last block, one block longer than
+        # the rows left, windows over a flat p1 stretch, and windows whose
+        # leverage * gamma_hat reaches 1
+        assume(length >= train_len + 2)
+        rng = np.random.default_rng(seed)
+        w = np.cumsum(rng.normal(0.0, 0.01, length))
+        s = np.zeros(length)
+        for k in range(1, length):
+            s[k] = 0.7 * s[k - 1] + rng.normal(0.0, 0.01)
+        p1 = 100.0 * np.exp(w)
+        if flat is not None:
+            start, size = flat
+            p1[start : start + size] = p1[min(start, length - 1)]
+        p2 = 50.0 * np.exp(1.5 * w + s)
+        cfg = BacktestConfig(window=WindowConfig(train_len=train_len, trade_len=trade_len),
+                             leverage=leverage, threshold_mode=mode)
+        self.check(make_series(p1, p2), cfg, None)
+
+    def check(self, series, cfg, fit):
+        # fit None runs each side's default: the fit of all windows at once
+        # against the oracle's per-window fit
+        fit_kw = {} if fit is None else {"fit_model": fit}
+        ledger, report = run_backtest(series, cfg, **fit_kw)
+        ref = scalar_oracle.run_backtest(series, cfg, **fit_kw)
         assert len(ledger) == len(ref)
         for name in self.EXACT:
             np.testing.assert_array_equal(getattr(ledger, name), _column(ref, name), err_msg=name)

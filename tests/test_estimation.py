@@ -6,6 +6,8 @@ Key facts exercised here:
   - On a discrete mean-reverting recursion with rate theta, estimate_eta is
     consistent: a long sample lands near theta.
   - estimate_gamma is the max absolute windowed return, floored only at zero.
+  - Both take a stack of windows along the last axis and give, row by row,
+    what the one-window estimators in scalar_oracle give.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.estimation import (
     DEFAULT_GAMMA_FLOOR,
@@ -54,13 +57,22 @@ class TestEstimateEta:
         with pytest.raises(LengthError):
             estimate_eta([])
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            estimate_eta([1.0, math.nan, 0.5])
+    def test_non_finite_window_gives_nan(self):
+        assert math.isnan(estimate_eta([1.0, math.nan, 0.5]))
+        assert math.isnan(estimate_eta([1.0, math.inf, 0.5]))
 
-    def test_two_dimensional_rejected(self):
-        with pytest.raises(DomainError):
-            estimate_eta(np.ones((3, 2)))
+    def test_rows_are_windows(self):
+        # a stack of paths is estimated row by row, bit for bit as one path
+        # at a time, with the zero-denominator and non-finite rules per row
+        rng = np.random.default_rng(8)
+        paths = rng.normal(0.0, 1.0, (3, 5, 12))
+        paths[1, 2] = 0.0
+        paths[2, 4, 3] = math.nan
+        got = estimate_eta(paths)
+        assert got.shape == (3, 5)
+        for i, j in np.ndindex(3, 5):
+            want = scalar_oracle.estimate_eta(paths[i, j]) if (i, j) != (2, 4) else math.nan
+            assert got[i, j] == want or math.isnan(got[i, j]) and math.isnan(want)
 
     @given(
         st.lists(
@@ -107,17 +119,17 @@ class TestEstimateEta:
 class TestEstimateGamma:
     def test_hand_example(self):
         series = make_series([100.0, 105.0, 99.75], [50.0, 50.0, 50.0])
-        assert estimate_gamma(series) == pytest.approx(0.05, abs=1e-12)
+        assert estimate_gamma(series.p1, series.p2) == pytest.approx(0.05, abs=1e-12)
 
     def test_constant_prices_floored(self):
         series = make_series([100.0, 100.0, 100.0], [50.0, 50.0, 50.0])
-        assert estimate_gamma(series) == DEFAULT_GAMMA_FLOOR
-        assert estimate_gamma(series, floor=1e-3) == 1e-3
+        assert estimate_gamma(series.p1, series.p2) == DEFAULT_GAMMA_FLOOR
+        assert estimate_gamma(series.p1, series.p2, floor=1e-3) == 1e-3
 
     def test_floor_only_at_exact_zero(self):
         # a tiny but non-zero max return is returned as-is, not floored
         series = make_series([100.0, 100.0 + 1e-7], [50.0, 50.0])
-        got = estimate_gamma(series)
+        got = estimate_gamma(series.p1, series.p2)
         assert 0.0 < got < DEFAULT_GAMMA_FLOOR
 
     def test_equals_max_abs_return(self):
@@ -129,16 +141,31 @@ class TestEstimateGamma:
             max(abs(p1[i + 1] / p1[i] - 1.0), abs(p2[i + 1] / p2[i] - 1.0))
             for i in range(len(p1) - 1)
         )
-        assert estimate_gamma(series) == brute
+        assert estimate_gamma(series.p1, series.p2) == brute
+
+    def test_rows_are_windows(self):
+        # sliding windows of one series, each bit for bit its own estimate;
+        # a flat window takes the floor
+        rng = np.random.default_rng(6)
+        p1 = 100.0 * np.exp(np.cumsum(rng.uniform(-0.03, 0.03, 60)))
+        p2 = 50.0 * np.exp(np.cumsum(rng.uniform(-0.02, 0.02, 60)))
+        p1[20:30] = p1[20]
+        p2[20:30] = p2[20]
+        view = np.lib.stride_tricks.sliding_window_view
+        got = estimate_gamma(view(p1, 8)[::3], view(p2, 8)[::3], floor=1e-3)
+        series = make_series(p1, p2)
+        want = [scalar_oracle.estimate_gamma(series.window(k, k + 8), 1e-3) for k in range(0, 53, 3)]
+        assert got.tolist() == want
+        assert 1e-3 in want
 
     def test_too_short(self):
         with pytest.raises(LengthError):
-            estimate_gamma(make_series([100.0], [50.0]))
+            estimate_gamma(np.array([100.0]), np.array([50.0]))
 
     def test_bad_floor(self):
         series = make_series([100.0, 101.0], [50.0, 50.0])
         with pytest.raises(DomainError):
-            estimate_gamma(series, floor=0.0)
+            estimate_gamma(series.p1, series.p2, floor=0.0)
 
 
 class TestWindowConfig:

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.spread import (
     CointegrationSpread,
-    DegenerateRegressorError,
     SpreadModel,
     fit_cointegration,
     spread_gradient,
@@ -173,21 +173,38 @@ class TestFit:
         p1 = np.array([100.0, 105.0, 98.0, 102.0, 110.0])
         p2 = np.exp(2.0 * np.log(p1) + 0.5)
         series = PriceSeries([f"{i}" for i in range(5)], p1, p2)
-        m = fit_cointegration(series)
+        m = fit_cointegration(series.p1, series.p2)
+        assert m.beta.shape == m.mu.shape == (1,)
         assert m.beta == pytest.approx(2.0, rel=1e-12)
         assert m.mu == pytest.approx(0.5, rel=1e-12)
-        for i in range(5):
-            assert abs(m.value(series.p1[i], series.p2[i])) < 1e-12
+        assert np.all(np.abs(m.value(series.p1, series.p2)) < 1e-12)
 
     def test_too_short(self):
-        series = PriceSeries(["a", "b"], [1.0, 2.0], [1.0, 2.0])
         with pytest.raises(LengthError):
-            fit_cointegration(series)
+            fit_cointegration(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
     def test_constant_p1_degenerate(self):
-        series = PriceSeries(["a", "b", "c"], [5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateRegressorError):
-            fit_cointegration(series)
+        # no slope: NaN parameters, so the window's spread is NaN
+        m = fit_cointegration(np.array([5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0]))
+        assert np.isnan(m.beta).all() and np.isnan(m.mu).all()
+        assert np.isnan(m.value(5.0, 2.0)).all()
+
+    def test_stacked_windows_equal_one_window_fits(self):
+        # every row of a stack of windows, a flat one included, is fitted
+        # bit for bit as the per-window least squares fit
+        rng = np.random.default_rng(3)
+        p1 = 80.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (6, 4, 40)), axis=-1))
+        p2 = 30.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (6, 4, 40)), axis=-1))
+        p1[2, 1] = 80.0
+        m = fit_cointegration(p1, p2)
+        assert m.beta.shape == m.mu.shape == (6, 4, 1)
+        for i, j in np.ndindex(6, 4):
+            one = scalar_oracle.fit_cointegration(p1[i, j], p2[i, j])
+            if one is None:
+                assert (i, j) == (2, 1)
+                assert math.isnan(m.beta[i, j, 0]) and math.isnan(m.mu[i, j, 0])
+            else:
+                assert (m.beta[i, j, 0], m.mu[i, j, 0]) == (one.beta, one.mu)
 
     def test_matches_lstsq(self):
         rng = np.random.default_rng(7)
@@ -195,7 +212,7 @@ class TestFit:
         noise = rng.normal(0.0, 0.01, 60)
         logs2 = 1.7 * logs1 - 0.3 + noise
         series = PriceSeries([f"{i:03d}" for i in range(60)], np.exp(logs1), np.exp(logs2))
-        m = fit_cointegration(series)
+        m = fit_cointegration(series.p1, series.p2)
         a = np.column_stack([logs1, np.ones(60)])
         coef, *_ = np.linalg.lstsq(a, logs2, rcond=None)
         assert m.beta == pytest.approx(coef[0], rel=1e-9)
@@ -207,7 +224,7 @@ class TestFit:
         logs1 = np.cumsum(rng.normal(0.0, 0.03, 40)) + 4.0
         logs2 = 0.8 * logs1 + 1.1 + rng.normal(0.0, 0.02, 40)
         series = PriceSeries([f"{i:03d}" for i in range(40)], np.exp(logs1), np.exp(logs2))
-        m = fit_cointegration(series)
+        m = fit_cointegration(series.p1, series.p2)
 
         def rss(beta, mu):
             r = logs2 - beta * logs1 - mu
@@ -224,7 +241,7 @@ class TestFit:
             [100.0, 101.0, 99.0, 103.0],
             [50.0, 51.0, 49.5, 52.0],
         )
-        m = fit_cointegration(series)
+        m = fit_cointegration(series.p1, series.p2)
         vals = m.value(series.p1, series.p2)
         for i in range(4):
             assert vals[i] == pytest.approx(m.value(float(series.p1[i]), float(series.p2[i])), abs=1e-14)

@@ -18,7 +18,7 @@ from pairtrade.cli import main
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # metrics the benchmark runner adds to the tracer's snapshot
 RUNNER_METRICS = {"import.scipy_stats_s", "trace.overhead_s", "host.calib_s"}
-ROWS, TRAIN_LEN, TRADE_LEN = 200, 40, 5
+ROWS, TRAIN_LEN = 200, 40
 
 
 def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
@@ -38,11 +38,16 @@ def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
     assert tracer.absent == []
     declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
     assert set(snap) | RUNNER_METRICS == declared
-    # spreads go in over price arrays: one call per training window, one per
-    # trade block, a gradient call per tradeable block, and no PricePoint per row
-    refits = len(range(TRAIN_LEN, ROWS, TRADE_LEN))
-    assert snap["spread.fit_cointegration_calls"] == refits
-    assert snap["spread.spread_value_calls"] == 2 * refits
-    assert 0 < snap["spread.spread_gradient_calls"] <= refits
+    # one array call each per run: the fit, gamma and eta over all training
+    # windows, a spread over them and one over the trade blocks, a threshold
+    # and a gradient over the trade blocks; no window slices, no PricePoint
+    assert snap["spread.fit_cointegration_calls"] == 1
+    assert snap["estimation.estimate_gamma_calls"] == 1
+    assert snap["estimation.estimate_eta_calls"] == 1
+    assert snap["spread.spread_value_calls"] == 2
+    assert snap["trading.threshold_approx_calls"] == 1
+    assert snap["trading.threshold_exact_calls"] == 0
+    assert snap["spread.spread_gradient_calls"] == 1
+    assert snap["domain.PriceSeries.window_calls"] == 0
     assert snap["domain.PricePoint_calls"] == 0
     assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN

@@ -12,12 +12,14 @@ two terms have opposite signs for beta > 0 and the same sign for beta < 0).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairtrade import trading
 from pairtrade.domain import DomainError
 from pairtrade.spread import CointegrationSpread
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
@@ -139,6 +141,64 @@ class TestThresholdExact:
             want = [threshold(m, a, b, 0.05, eta) for a, b in zip(p1.tolist(), p2.tolist())]
             assert isinstance(want[0], float)
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    @pytest.mark.parametrize("chunk", [None, 500])
+    def test_stacked_windows_match_scalar_calls(self, threshold, chunk, monkeypatch):
+        # one call over (windows, rows) prices, with a parameter set, gamma
+        # and eta per window, equals scalar calls bit for bit; a small
+        # MESH_CHUNK splits the exact mesh into many chunks
+        if chunk is not None:
+            monkeypatch.setattr(trading, "MESH_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        p1 = 100.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
+        p2 = 50.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
+        beta = rng.normal(0.5, 1.5, (30, 1))
+        mu = rng.normal(0.0, 0.1, (30, 1))
+        gamma = rng.uniform(0.01, 0.2, (30, 1))
+        eta = rng.uniform(-0.1, 0.5, (30, 1))
+        for m, one in ((CointegrationSpread(beta, mu),
+                        lambda i: CointegrationSpread(float(beta[i, 0]), float(mu[i, 0]))),
+                       (RatioSpread(0.5), lambda i: RatioSpread(0.5))):
+            got = threshold(m, p1, p2, gamma, eta)
+            want = [[threshold(one(i), a, b, float(gamma[i, 0]), float(eta[i, 0]))
+                     for a, b in zip(p1[i].tolist(), p2[i].tolist())] for i in range(30)]
+            assert got.tolist() == want
+            assert np.isinf(got[eta[:, 0] <= 0.0]).all()
+
+    def test_exact_memory_bounded(self):
+        # the mesh goes about MESH_CHUNK = 2**17 entries at a time, 1 MiB of
+        # doubles, and a chunk keeps about three such arrays alive, so 20k
+        # rows stay within 8 MiB (a whole 41 x 41 mesh at once needs about
+        # 0.5 GiB)
+        rng = np.random.default_rng(5)
+        p1 = 100.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
+        p2 = 50.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
+        m = CointegrationSpread(rng.normal(1.5, 0.2, (4000, 1)), np.zeros((4000, 1)))
+        tracemalloc.start()
+        try:
+            tau = threshold_exact(m, p1, p2, 0.05, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau.shape == (4000, 5) and np.isfinite(tau).all()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    def test_no_prices(self, threshold):
+        m = CointegrationSpread(beta=2.0, mu=0.0)
+        assert threshold(m, np.empty((0, 3)), np.empty((0, 3)), 0.05, 0.1).shape == (0, 3)
+
+    def test_unit_grid_holds_corners_and_axes(self):
+        assert {-1.0, 0.0, 1.0} <= set(trading.UNIT_GRID.tolist())
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    def test_array_rates_validated(self, threshold):
+        m = CointegrationSpread(beta=2.0, mu=0.0)
+        with pytest.raises(DomainError, match="gamma"):
+            threshold(m, *P, np.array([0.05, 1.0]), 0.1)
+        with pytest.raises(DomainError, match="eta"):
+            threshold(m, *P, 0.05, np.array([0.1, math.nan]))
 
 
 def _gradient(model):
