@@ -16,8 +16,10 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   that five windows have no fit; each in both threshold modes
 - `montecarlo --seed S`, its other settings at their defaults, and again in
   exact mode with `--bins 4 --leverage 2.5`
-- `verify-lemma --samples 10000 --seed S`, and again with gamma, band, p0,
-  beta and mu moved off their defaults
+- `verify-lemma --samples 10000 --seed S`, again with gamma, band, p0,
+  beta and mu moved off their defaults, and at each beta in `LEMMA_BETAS`;
+  with the default beta 2 and the moved -0.5 these reach every branch of
+  the log-linear curvature bound's c = max(beta, 1) + max(-beta, 0)
 - the invalid settings in `ERROR_CALLS`, which must fail alike
 
 It lists every exit code, stdout, stderr and output file whose bytes differ
@@ -46,6 +48,8 @@ BACKTEST_SETTINGS = {
     "leverage50": ["--leverage", "50"],
     "gamma0.02": ["--gamma", "0.02"],
 }
+# verify-lemma betas, each run at --samples 10000
+LEMMA_BETAS = ("1", "0.5", "0")
 # invalid settings: each must fail the same way, exit code and stderr
 ERROR_CALLS = [
     ("verify-lemma", ["--seed", "-1"]),
@@ -102,6 +106,9 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     out.append(("lemma", ["verify-lemma", "--samples", "10000", "--seed", str(seed)]))
     out.append(("lemma-moved", ["verify-lemma", "--gamma", "0.1", "--band", "0.5", "--p0", "40",
                                 "80", "--beta", "-0.5", "--mu", "0.3", "--seed", str(seed)]))
+    for beta in LEMMA_BETAS:
+        out.append((f"lemma-beta{beta}", ["verify-lemma", "--samples", "10000", "--beta", beta,
+                                          "--seed", str(seed)]))
     for command, bad in ERROR_CALLS:
         out.append((f"{command} {' '.join(bad)}", [command, *bad]))
     return out

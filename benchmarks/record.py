@@ -2,6 +2,7 @@
 """Record repeated perfbench runs into one BENCH_<label>.json file.
 
     python3 benchmarks/record.py --label seed --runs 5 [--repo DIR] [--seed 1]
+        [--baseline PARENT --baseline-label LABEL]
 
 Runs the benchmark command of BENCHMARK.json (`python3 perfbench/run.py
 --workload W --seed S --seconds T --trace X`, T its `run_seconds`) unmodified,
@@ -13,6 +14,11 @@ The output keeps every run's result line (the last line of stdout) and its
 every metric. DIR defaults to the checkout holding this script; pointing it at
 another checkout records that commit with the same benchmark settings. The
 file is written at the root of the checkout holding this script.
+
+With --baseline, a second checkout (the parent commit) runs in pairs with
+DIR: each run of a workload and trace mode is one parent/change pair,
+alternating which side goes first, and the baseline's runs go into
+BENCH_<baseline-label>.json.
 """
 
 from __future__ import annotations
@@ -91,31 +97,44 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per workload and trace mode")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--baseline", type=Path,
+                        help="a second checkout, run in alternating pairs with --repo")
+    parser.add_argument("--baseline-label", help="names the baseline's BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be positive")
-    repo = args.repo.resolve()
-    if not (repo / "perfbench" / "run.py").is_file():
-        parser.error(f"no perfbench/run.py under {repo}")
-    out_path = ROOT / f"BENCH_{args.label}.json"
+    if (args.baseline is None) != (args.baseline_label is None):
+        parser.error("give --baseline and --baseline-label together")
+    sides = [(args.label, args.repo.resolve())]
+    if args.baseline is not None:
+        sides.append((args.baseline_label, args.baseline.resolve()))
+    for _, repo in sides:
+        if not (repo / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {repo}")
 
-    runs = []
+    runs: dict[str, list[dict]] = {label: [] for label, _ in sides}
     for i in range(args.runs):
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             for trace in TRACE_MODES:
-                run = run_once(repo, workload, args.seed, trace)
-                run["run"] = i
-                runs.append(run)
-                result = parse_result(run)
-                state = "malformed" if result is None else (
-                    f"correct={result['correct']} failed={result['failed']}")
-                print(f"run {i} {workload} trace={trace}: exit {run['returncode']}, {state}",
-                      file=sys.stderr)
+                # a pair's first side alternates from one run to the next
+                for label, repo in sides[i % 2:] + sides[: i % 2]:
+                    run = run_once(repo, workload, args.seed, trace)
+                    run["run"] = i
+                    runs[label].append(run)
+                    result = parse_result(run)
+                    state = "malformed" if result is None else (
+                        f"correct={result['correct']} failed={result['failed']}")
+                    print(f"{label} run {i} {workload} trace={trace}: exit {run['returncode']}, "
+                          f"{state}", file=sys.stderr)
+    return max(write(label, runs[label], args) for label, _ in sides)
 
+
+def write(label: str, runs: list[dict], args: argparse.Namespace) -> int:
+    """Write BENCH_<label>.json; 1 if a run was malformed or incorrect, else 0."""
     results = [parse_result(run) for run in runs]
     env_line = next((run["env_line"] for run in runs if run["env_line"]), None)
     payload = {
-        "label": args.label,
+        "label": label,
         "command": BENCHMARK["command"],
         "seed": args.seed,
         "seconds": BENCHMARK["run_seconds"],
@@ -126,6 +145,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs),
         "runs": runs,
     }
+    out_path = ROOT / f"BENCH_{label}.json"
     out_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0 if payload["malformed"] == 0 and payload["incorrect"] == 0 else 1

@@ -2,9 +2,10 @@
 
 A spread model supplies value, gradient, and Hessian over broadcastable
 price arrays (plain floats included), elementwise, with the three kept
-mutually consistent. The log-linear model S(p) = log p2 - beta log p1 - mu
-is the concrete family used throughout; its parameters are fit by least
-squares on log prices.
+mutually consistent, and the curvature bound the exact threshold sizes
+positions by. The log-linear model S(p) = log p2 - beta log p1 - mu is the
+concrete family used throughout; its parameters are fit by least squares on
+log prices, and its curvature bound has a closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainError, LengthError
+
+
+# relative displacements of the generic curvature bound's coarse xi mesh: 41
+# of them, with -1, 0 and 1 (the box's corners and axes) exactly
+UNIT_GRID = np.linspace(-1.0, 1.0, 41)
+# the refinement mesh: one coarse step either side of the coarse argmax, at a
+# tenth of the coarse spacing
+FINE_GRID = np.linspace(-1.0, 1.0, 21) * (UNIT_GRID[1] - UNIT_GRID[0])
+# mesh points times price points the generic curvature bound evaluates at once
+MESH_CHUNK = 1 << 17
 
 
 class StationaryPointError(RuntimeError):
@@ -45,6 +56,25 @@ class SpreadModel(ABC):
     def hessian(self, p1, p2):
         """(h11, h12, h22), the entries of the symmetric Hessian."""
 
+    def curvature_bound(self, p1, p2, gamma):
+        """sup over xi, d in the relative gamma box of |d' H(xi) d|, elementwise.
+
+        The box holds every xi and d with |xi_i - p_i| <= gamma p_i and
+        |d_i| <= gamma p_i; xi and d range over it independently, as the
+        Taylor remainder of a move inside the box needs. At each xi this
+        takes the exact maximum over d (see _box_max). xi itself is sampled:
+        on the mesh p (1 + gamma UNIT_GRID), which holds the box's corners
+        and axes, and then on a FINE_GRID mesh ten times finer around each
+        point's coarse argmax. Caveat: xi is still sampled on a grid, so a
+        Hessian whose magnitude peaks more sharply than the coarse spacing,
+        or at more than one place, can exceed the bound between grid points.
+        A model that knows its bound in closed form should override this.
+        The mesh goes about MESH_CHUNK mesh-times-price entries at a time.
+        """
+        p1, p2, gamma = (np.asarray(x, dtype=float) for x in (p1, p2, gamma))
+        _, u1, u2 = _mesh_max(self, p1, p2, gamma, 0.0, 0.0, UNIT_GRID)
+        return _mesh_max(self, p1, p2, gamma, u1, u2, FINE_GRID)[0]
+
 
 def spread_value(model: SpreadModel, p1, p2):
     """S at (p1, p2), elementwise."""
@@ -64,6 +94,60 @@ def spread_gradient(model: SpreadModel, p1, p2):
 def spread_hessian(model: SpreadModel, p1, p2):
     """(h11, h12, h22) at (p1, p2), elementwise."""
     return model.hessian(p1, p2)
+
+
+def _box_max(h11, h12, h22, a, b):
+    """max |d' H d| over |d1| <= a, |d2| <= b for fixed H, elementwise.
+
+    The form is quadratic, so the maximum lies on the boundary, and even, so
+    the edges d1 = a and d2 = b hold every boundary value. Along an edge it
+    is a parabola: its extremes are the vertices and the stationary points
+    d2 = -h12 a / h22 and d1 = -h12 b / h11, clipped into the box.
+    """
+
+    def form(d1, d2):
+        return np.abs(h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2)
+
+    def stationary(num, den, half):
+        shape = np.broadcast(num, den).shape
+        return np.clip(np.divide(num, den, out=np.zeros(shape), where=den != 0.0), -half, half)
+
+    # the vertices (a, b) and (a, -b) give s + t and s - t
+    worst = np.abs(h11 * a * a + h22 * b * b) + np.abs(2.0 * h12 * a * b)
+    worst = np.maximum(worst, form(a, stationary(-h12 * a, h22, b)))
+    return np.maximum(worst, form(stationary(-h12 * b, h11, a), b))
+
+
+def _mesh_max(model, p1, p2, gamma, c1, c2, grid):
+    """(worst, u1, u2): the largest _box_max over xi = p (1 + gamma u) with
+    u = clip(c + grid, -1, 1) on each axis, and the u where it was found.
+
+    The mesh axes lead the price axes, so model parameters shaped like the
+    prices still broadcast; it goes in square chunks of about MESH_CHUNK
+    mesh-times-price entries.
+    """
+    shape = np.broadcast(p1, p2, gamma).shape
+    side = min(len(grid), max(1, math.isqrt(MESH_CHUNK // max(1, math.prod(shape)))))
+    lead = (1,) * len(shape)
+    a, b = gamma * p1, gamma * p2
+    worst = np.zeros(shape)
+    at1 = at2 = np.zeros(shape, dtype=np.intp)
+    for i in range(0, len(grid), side):
+        v1 = np.clip(c1 + grid[i : i + side].reshape(-1, 1, *lead), -1.0, 1.0)
+        for j in range(0, len(grid), side):
+            v2 = np.clip(c2 + grid[j : j + side].reshape(1, -1, *lead), -1.0, 1.0)
+            h11, h12, h22 = spread_hessian(model, p1 + a * v1, p2 + b * v2)
+            cols = v2.shape[1]
+            q = np.broadcast_to(_box_max(h11, h12, h22, a, b), (len(v1), cols, *shape))
+            q = q.reshape(-1, *shape)
+            k = np.argmax(q, axis=0)
+            best = np.take_along_axis(q, k[None], axis=0)[0]
+            moved = best > worst
+            worst = np.maximum(worst, best)
+            # the chunk's mesh points are flattened row-major into k
+            at1 = np.where(moved, i + k // cols, at1)
+            at2 = np.where(moved, j + k % cols, at2)
+    return worst, np.clip(c1 + grid[at1], -1.0, 1.0), np.clip(c2 + grid[at2], -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +173,21 @@ class CointegrationSpread(SpreadModel):
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
         return self.beta / (p1 * p1), 0.0, -1.0 / (p2 * p2)
+
+    def curvature_bound(self, p1, p2, gamma):
+        """(gamma / (1 - gamma))^2 c with c = max(beta, 1) + max(-beta, 0),
+        broadcast to the price shape; NaN in a window without a fit.
+
+        d' H(xi) d = beta (d1/xi1)^2 - (d2/xi2)^2 has no cross term, and each
+        ratio |d_i / xi_i| is at most gamma / (1 - gamma) on the box. The two
+        terms have opposite signs for beta > 0, so one alone is the largest,
+        and the same sign for beta < 0, so they add.
+        """
+        beta = np.asarray(self.beta, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        r = gamma / (1.0 - gamma)
+        bound = r * r * (np.maximum(beta, 1.0) + np.maximum(-beta, 0.0))
+        return np.broadcast_to(bound, np.broadcast(p1, p2, bound).shape)
 
 
 def fit_cointegration(p1, p2) -> CointegrationSpread:

@@ -4,11 +4,13 @@ A position is opened only when |S(p)| exceeds a threshold tau sized so that
 the expected pull toward zero beats the worst-case curvature error over the
 uncertainty box of one-period price moves:
 
-    tau_exact  = max over p' in box |(p'-p)' H(p') (p'-p)| / (2 eta)
+    tau_exact  = sup over xi, d in box |d' H(xi) d| / (2 eta)
     tau_approx = gamma^2 |p' H(p) p| / (2 eta)
 
-Both thresholds work elementwise over broadcastable price, gamma and eta
-arrays. Non-positive eta gives tau = +inf, which disables trading. Holdings are
+The box holds the relative moves of at most gamma in each price, xi and d
+independently; the supremum is the spread model's curvature_bound. Both
+thresholds work elementwise over broadcastable price, gamma and eta arrays.
+Non-positive eta gives tau = +inf, which disables trading. Holdings are
 n = -lambda sign(S) grad S with lambda > 0 chosen so the gross exposure
 |n1| p1 + |n2| p2 equals leverage * account_value exactly.
 """
@@ -23,18 +25,20 @@ from .domain import DomainError
 from .spread import SpreadModel, spread_hessian
 
 THRESHOLD_MODES = ("approx", "exact")
-# 41 relative displacements; -1, 0 and 1 (the box's corners and axes) exactly
-UNIT_GRID = np.linspace(-1.0, 1.0, 41)
-# mesh points times price points threshold_exact evaluates at once
-MESH_CHUNK = 1 << 17
+
+
+def _check(name: str, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Raise DomainError naming the first element of x where ok is False."""
+    if not ok.all():
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        where = f" at index [{', '.join(map(str, at))}]" if at else ""
+        raise DomainError(f"{name} must {rule}, got {x[at].item()!r}{where}")
 
 
 def _as_arrays(p1, p2, gamma, eta) -> tuple[np.ndarray, ...]:
     p1, p2, gamma, eta = (np.asarray(x, dtype=float) for x in (p1, p2, gamma, eta))
-    if not ((gamma > 0.0) & (gamma < 1.0)).all():
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma.tolist()!r}")
-    if not np.isfinite(eta).all():
-        raise DomainError(f"eta must be finite, got {eta.tolist()!r}")
+    _check("gamma", gamma, (gamma > 0.0) & (gamma < 1.0), "lie in (0, 1)")
+    _check("eta", eta, np.isfinite(eta), "be finite")
     return p1, p2, gamma, eta
 
 
@@ -47,29 +51,10 @@ def _per_point(worst: np.ndarray, eta: np.ndarray):
 
 
 def threshold_exact(model: SpreadModel, p1, p2, gamma, eta):
-    """Worst-case curvature threshold via a grid scan of the box.
-
-    The scan covers the square mesh gamma * UNIT_GRID of relative
-    displacements in [-gamma, gamma]^2 and takes the max |quadratic form|
-    over it, about MESH_CHUNK entries at a time to bound the memory.
-    """
+    """Worst-case curvature threshold: the model's curvature_bound over the
+    gamma box around each price point, over 2 eta."""
     p1, p2, gamma, eta = _as_arrays(p1, p2, gamma, eta)
-    shape = np.broadcast(p1, p2, gamma).shape
-    # a chunk is side x side mesh points; the mesh axes lead the price axes,
-    # so model parameters shaped like the prices still broadcast
-    side = min(len(UNIT_GRID), max(1, math.isqrt(MESH_CHUNK // max(1, math.prod(shape)))))
-    lead = (1,) * len(shape)
-    worst = np.zeros(shape)
-    for i in range(0, len(UNIT_GRID), side):
-        d1 = p1 * (gamma * UNIT_GRID[i : i + side].reshape(-1, 1, *lead))
-        for j in range(0, len(UNIT_GRID), side):
-            d2 = p2 * (gamma * UNIT_GRID[j : j + side].reshape(1, -1, *lead))
-            h11, h12, h22 = spread_hessian(model, p1 + d1, p2 + d2)
-            q = d1 * d1 * h11 + d2 * d2 * h22
-            if not (np.isscalar(h12) and h12 == 0.0):
-                q = q + 2.0 * d1 * d2 * h12
-            worst = np.maximum(worst, np.max(np.abs(q), axis=(0, 1)))
-    return _per_point(worst, eta)
+    return _per_point(model.curvature_bound(p1, p2, gamma), eta)
 
 
 def threshold_approx(model: SpreadModel, p1, p2, gamma, eta):

@@ -12,6 +12,10 @@ time with the per-window fit_cointegration, estimate_gamma and estimate_eta
 below, calls the spread API on one price point at a time and records one
 LedgerRow per period. write_ledger_csv and write_plot_csv are the csv.writer
 paths that wrote those rows, one field list per row.
+
+threshold_exact_grid is the exact threshold from before spread models gave
+their own curvature bound: a 41 x 41 mesh scan of the box that takes the
+Hessian at the displaced point only.
 """
 
 from __future__ import annotations
@@ -25,8 +29,20 @@ from scipy import stats
 
 from pairtrade.backtest import LEDGER_COLUMNS, buy_and_hold
 from pairtrade.domain import return_arrays
-from pairtrade.spread import CointegrationSpread, spread_gradient, spread_value
+from pairtrade.spread import CointegrationSpread, spread_gradient, spread_hessian, spread_value
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
+
+
+def threshold_exact_grid(model, p1, p2, gamma, eta):
+    """max |d' H(p + d) d| over the mesh d = p gamma u, u in linspace(-1, 1, 41)
+    on each axis, over 2 eta; +inf where eta is non-positive. Scalar prices,
+    gamma and eta."""
+    u = np.linspace(-1.0, 1.0, 41)
+    d1 = p1 * (gamma * u[:, None])
+    d2 = p2 * (gamma * u[None, :])
+    h11, h12, h22 = spread_hessian(model, p1 + d1, p2 + d2)
+    worst = float(np.max(np.abs(d1 * d1 * h11 + 2.0 * d1 * d2 * h12 + d2 * d2 * h22)))
+    return worst / (2.0 * eta) if eta > 0.0 else math.inf
 
 
 def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):

@@ -1,10 +1,12 @@
 """Spread models outside the log-linear family, as test doubles.
 
-RatioSpread is S = p2/p1 - c, whose Hessian magnitude is monotone over a
-gamma box, so the grid threshold bounds its linearization error.
-CosPerturbedSpread is S = log p2 - beta log p1 + a cos(pi (p1 - center) / width):
-its Hessian changes sign inside a box, and the grid threshold, which takes
-the Hessian at the displaced point only, under-states the remainder there.
+Both use SpreadModel's generic curvature bound. RatioSpread is
+S = p2/p1 - c, whose Hessian magnitude is monotone over a gamma box, so even
+a scan that takes the Hessian at the displaced point only (the oracle
+threshold_exact_grid) bounds its linearization error. CosPerturbedSpread is
+S = log p2 - beta log p1 + a cos(pi (p1 - center) / width): its Hessian
+changes sign inside a box, and that displaced-point scan under-states the
+remainder there.
 """
 
 import math

@@ -17,6 +17,7 @@ from pairtrade.domain import DomainError, LengthError, PriceSeries
 from pairtrade.spread import (
     CointegrationSpread,
     SpreadModel,
+    _box_max,
     fit_cointegration,
     spread_gradient,
     spread_hessian,
@@ -165,6 +166,55 @@ class TestHessian:
         assert float(h11[0]) == h[0, 0]
         assert float(np.asarray(h12).reshape(-1)[0] if np.ndim(h12) else h12) == h[0, 1]
         assert float(h22[0]) == h[1, 1]
+
+
+class TestCurvatureBound:
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5, 0.0, -1e-12, -0.7, -3.0])
+    def test_log_linear_override_matches_generic_default(self, beta):
+        # the generic default's coarse mesh holds the corner xi = p (1 - gamma)
+        # where the log-linear maximum lies, so both agree to rounding
+        m = CointegrationSpread(beta=beta, mu=0.2)
+        p1 = np.array([100.0, 0.3, 420.0])
+        p2 = np.array([50.0, 7.0, 0.05])
+        for gamma in (0.001, 0.05, 0.4):
+            want = SpreadModel.curvature_bound(m, p1, p2, gamma)
+            np.testing.assert_allclose(m.curvature_bound(p1, p2, gamma), want, rtol=1e-14)
+
+    def test_log_linear_broadcasts_to_prices(self):
+        # per-window parameters against (windows, rows) prices; NaN where a
+        # window has no fit, whatever its prices
+        m = CointegrationSpread(np.array([[2.0], [math.nan], [-0.5]]), np.zeros((3, 1)))
+        got = m.curvature_bound(np.full((3, 4), 100.0), np.full((3, 4), math.nan), 0.05)
+        r = (0.05 / 0.95) ** 2
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got[[0, 2]], [[2.0 * r] * 4, [1.5 * r] * 4], rtol=1e-15)
+        assert np.isnan(got[1]).all()
+
+    def test_constant_hessian(self):
+        got = SpreadModel.curvature_bound(_FlatModel(), np.ones((2, 3)), 2.0, 0.1)
+        assert got.tolist() == [[0.0] * 3] * 2
+
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 10.0),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_box_max_is_the_box_maximum(self, h, a, b):
+        # the vertices and clipped edge stationary points against a dense
+        # scan of the box's edges, which holds every vertex
+        h11, h12, h22 = h
+        t = np.linspace(-1.0, 1.0, 2001)
+
+        def form(d1, d2):
+            return np.abs(h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2)
+
+        scan = max(form(a, b * t).max(), form(a * t, b).max())
+        got = float(_box_max(h11, h12, h22, a, b))
+        # the scan can miss an edge's interior stationary point by a step
+        # 1e-3 of the edge, which costs at most 1e-5 of the form's scale
+        scale = abs(h11) * a * a + 2.0 * abs(h12) * a * b + abs(h22) * b * b
+        assert scan * (1.0 - 1e-12) <= got <= scan + 1e-5 * scale
 
 
 class TestFit:

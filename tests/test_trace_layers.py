@@ -21,7 +21,8 @@ RUNNER_METRICS = {"import.scipy_stats_s", "trace.overhead_s", "host.calib_s"}
 ROWS, TRAIN_LEN = 200, 40
 
 
-def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
+def _traced_backtest(perfbench, tmp_path, *extra):
+    """(tracer, snapshot) of one traced CLI backtest on a ROWS-row pair."""
     tracing, inputs = perfbench("tracing"), perfbench("inputs")
     csv_path = tmp_path / "pair.csv"
     spec = inputs.PairSpec(drift=0.0, **inputs.BACKTEST_PAIR)
@@ -30,10 +31,15 @@ def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
     tracer.install()
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert main(["backtest", "--input", str(csv_path), "--out-dir", str(tmp_path)]) == 0
+            argv = ["backtest", "--input", str(csv_path), "--out-dir", str(tmp_path), *extra]
+            assert main(argv) == 0
     finally:
         tracer.uninstall()
-    snap = tracer.snapshot()
+    return tracer, tracer.snapshot()
+
+
+def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
+    tracer, snap = _traced_backtest(perfbench, tmp_path)
 
     assert tracer.absent == []
     declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
@@ -50,4 +56,16 @@ def test_traced_backtest_has_every_declared_layer(perfbench, tmp_path):
     assert snap["spread.spread_gradient_calls"] == 1
     assert snap["domain.PriceSeries.window_calls"] == 0
     assert snap["domain.PricePoint_calls"] == 0
+    assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN
+
+
+def test_traced_exact_backtest_takes_no_hessian(perfbench, tmp_path):
+    # the log-linear curvature bound is closed form: one exact threshold
+    # call over the trade blocks, and no Hessian anywhere in the run
+    tracer, snap = _traced_backtest(perfbench, tmp_path, "--threshold-mode", "exact")
+    assert tracer.absent == []
+    assert snap["trading.threshold_exact_calls"] == 1
+    assert snap["trading.threshold_approx_calls"] == 0
+    assert snap["spread.spread_hessian_calls"] == 0
+    assert snap["spread.spread_gradient_calls"] == 1
     assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN

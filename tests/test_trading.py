@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrade import trading
+from pairtrade import spread
 from pairtrade.domain import DomainError
 from pairtrade.spread import CointegrationSpread
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
-from spread_models import RatioSpread
+from scalar_oracle import threshold_exact_grid
+from spread_models import CosPerturbedSpread, RatioSpread
 
 P = (100.0, 50.0)
 
@@ -84,15 +85,55 @@ class TestThresholdExact:
     def test_matches_closed_form(self, beta):
         m = CointegrationSpread(beta=beta, mu=0.1)
         got = threshold_exact(m, *P, 0.05, 0.1)
-        assert got == pytest.approx(closed_form_exact(beta, 0.05, 0.1), rel=1e-2)
+        assert got == pytest.approx(closed_form_exact(beta, 0.05, 0.1), rel=1e-14)
 
     @pytest.mark.parametrize("beta", [2.0, 0.3])
     def test_grid_hits_corners_exactly(self, beta):
-        # the worst point sits at a box corner/extreme, which the grid always
-        # contains, so agreement is far tighter than the 1% grid allowance
+        # the displaced-point mesh scan finds the worst point at a box
+        # corner/extreme, which its grid always contains
         m = CointegrationSpread(beta=beta, mu=0.0)
-        got = threshold_exact(m, *P, 0.05, 0.1)
+        got = threshold_exact_grid(m, *P, 0.05, 0.1)
         assert got == pytest.approx(closed_form_exact(beta, 0.05, 0.1), rel=1e-12)
+
+    @given(
+        beta=st.sampled_from([0.0, 1.0, -1.0, 1e-12, -1e-12]) | st.floats(-4.0, 4.0),
+        gamma=st.floats(0.001, 0.5),
+        lp1=st.floats(-3.0, 6.0),
+        lp2=st.floats(-3.0, 6.0),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_closed_form_matches_grid_scan(self, beta, gamma, lp1, lp2):
+        # the log-linear override against the mesh scan it replaced, whose
+        # grid holds the corners and axes where the log-linear maximum lies
+        m = CointegrationSpread(beta=beta, mu=0.3)
+        p1, p2 = math.exp(lp1), math.exp(lp2)
+        got = threshold_exact(m, p1, p2, gamma, 0.5)
+        assert got == pytest.approx(threshold_exact_grid(m, p1, p2, gamma, 0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("model", [RatioSpread(), CosPerturbedSpread()], ids=["ratio", "cos"])
+    @pytest.mark.parametrize(
+        "p", [(100.0, 50.0), (97.0, 50.0), (103.0, 20.0), (99.7, 60.0), (1.0, 2.0)]
+    )
+    def test_generic_bound_dominates_scans(self, model, p):
+        # the generic default against the displaced-point mesh scan, and
+        # against a (xi, d) brute force with xi five times finer than the
+        # coarse mesh (every point of it within one coarse step of the coarse
+        # argmax lies on the refinement mesh) and d on a 21 x 21 grid; the
+        # 1e-13 allows for rounding, since each evaluates the same corner's
+        # xi and quadratic form in another order
+        gamma = 0.05
+        got = threshold_exact(model, *p, gamma, 0.5)
+        assert got >= threshold_exact_grid(model, *p, gamma, 0.5) * (1.0 - 1e-13)
+        u = np.linspace(-1.0, 1.0, 201)
+        t = np.linspace(-1.0, 1.0, 21)
+        d1 = (gamma * p[0] * t)[:, None]
+        d2 = (gamma * p[1] * t)[None, :]
+        brute = 0.0
+        for x1 in (p[0] * (1.0 + gamma * u)).tolist():
+            h11, h12, h22 = model.hessian(x1, p[1] * (1.0 + gamma * u)[:, None, None])
+            q = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
+            brute = max(brute, float(np.max(np.abs(q))))
+        assert got >= brute * (1.0 - 1e-13)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0])
     def test_non_positive_eta_infinite(self, eta):
@@ -149,7 +190,7 @@ class TestThresholdExact:
         # and eta per window, equals scalar calls bit for bit; a small
         # MESH_CHUNK splits the exact mesh into many chunks
         if chunk is not None:
-            monkeypatch.setattr(trading, "MESH_CHUNK", chunk)
+            monkeypatch.setattr(spread, "MESH_CHUNK", chunk)
         rng = np.random.default_rng(4)
         p1 = 100.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
         p2 = 50.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
@@ -167,22 +208,23 @@ class TestThresholdExact:
             assert np.isinf(got[eta[:, 0] <= 0.0]).all()
 
     def test_exact_memory_bounded(self):
-        # the mesh goes about MESH_CHUNK = 2**17 entries at a time, 1 MiB of
-        # doubles, and a chunk keeps about three such arrays alive, so 20k
-        # rows stay within 8 MiB (a whole 41 x 41 mesh at once needs about
-        # 0.5 GiB)
+        # the log-linear bound is one value per row; the generic default's
+        # mesh goes about MESH_CHUNK = 2**17 mesh-times-price entries at a
+        # time, so 20k rows stay within 8 MiB for either (a whole 41 x 41
+        # mesh at once needs about 0.5 GiB)
         rng = np.random.default_rng(5)
         p1 = 100.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
         p2 = 50.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
-        m = CointegrationSpread(rng.normal(1.5, 0.2, (4000, 1)), np.zeros((4000, 1)))
-        tracemalloc.start()
-        try:
-            tau = threshold_exact(m, p1, p2, 0.05, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tau.shape == (4000, 5) and np.isfinite(tau).all()
-        assert peak < 8 * 2**20
+        for m in (CointegrationSpread(rng.normal(1.5, 0.2, (4000, 1)), np.zeros((4000, 1))),
+                  RatioSpread(0.5)):
+            tracemalloc.start()
+            try:
+                tau = threshold_exact(m, p1, p2, 0.05, 0.1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert tau.shape == (4000, 5) and np.isfinite(tau).all()
+            assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
     def test_no_prices(self, threshold):
@@ -190,7 +232,9 @@ class TestThresholdExact:
         assert threshold(m, np.empty((0, 3)), np.empty((0, 3)), 0.05, 0.1).shape == (0, 3)
 
     def test_unit_grid_holds_corners_and_axes(self):
-        assert {-1.0, 0.0, 1.0} <= set(trading.UNIT_GRID.tolist())
+        assert {-1.0, 0.0, 1.0} <= set(spread.UNIT_GRID.tolist())
+        # the refinement mesh holds its coarse point, so refining never lowers the bound
+        assert 0.0 in spread.FINE_GRID.tolist()
 
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
     def test_array_rates_validated(self, threshold):
@@ -199,6 +243,26 @@ class TestThresholdExact:
             threshold(m, *P, np.array([0.05, 1.0]), 0.1)
         with pytest.raises(DomainError, match="eta"):
             threshold(m, *P, 0.05, np.array([0.1, math.nan]))
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    def test_rate_error_names_first_offender(self, threshold):
+        # a 20k-row call with one bad rate names that value and where it is,
+        # not every rate
+        m = CointegrationSpread(beta=2.0, mu=0.0)
+        gamma = np.full((4000, 5), 0.05)
+        gamma[1234, 3] = 1.5
+        gamma[2000, 0] = 0.0
+        with pytest.raises(DomainError) as err:
+            threshold(m, *P, gamma, 0.1)
+        assert str(err.value) == "gamma must lie in (0, 1), got 1.5 at index [1234, 3]"
+        eta = np.full(20_000, 0.1)
+        eta[777] = math.inf
+        with pytest.raises(DomainError) as err:
+            threshold(m, *P, 0.05, eta)
+        assert str(err.value) == "eta must be finite, got inf at index [777]"
+        with pytest.raises(DomainError) as err:
+            threshold(m, *P, math.nan, 0.1)
+        assert str(err.value) == "gamma must lie in (0, 1), got nan"
 
 
 def _gradient(model):
@@ -278,3 +342,27 @@ class TestStepAccount:
             n1, n2 = allocate(*_gradient(m), *P, 0.1, 0.02, value, leverage=1.0)
             dv = n1 * (P[0] * x1) + n2 * (P[1] * x2)
             assert dv >= -g * value * (1.0 + 1e-12)
+
+    @given(
+        g1=st.floats(-1e3, 1e3),
+        g2=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        lp1=st.floats(-3.0, 6.0),
+        lp2=st.floats(-3.0, 6.0),
+        spread=st.floats(0.01, 1.0) | st.floats(-1.0, -0.01),
+        leverage=st.floats(0.1, 20.0),
+        value=st.floats(1.0, 1e7),
+        gamma=st.floats(0.001, 0.5),
+        x1=st.floats(-1.0, 1.0),
+        x2=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_one_step_loss_within_leverage_gamma_value(
+        self, g1, g2, lp1, lp2, spread, leverage, value, gamma, x1, x2
+    ):
+        # gross exposure is leverage * value, so moves of at most gamma in
+        # each price lose at most leverage * gamma * value, whatever the
+        # gradient; the 1e-12 allows for rounding in the holdings and moves
+        p1, p2 = math.exp(lp1), math.exp(lp2)
+        n1, n2 = allocate(g1, g2, p1, p2, spread, 0.0, value, leverage)
+        dv = n1 * (p1 * (1.0 + gamma * x1) - p1) + n2 * (p2 * (1.0 + gamma * x2) - p2)
+        assert dv >= -leverage * value * (gamma + 1e-12)
