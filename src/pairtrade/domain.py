@@ -21,8 +21,16 @@ class LengthError(ValueError):
     """A series is too short for the requested computation."""
 
 
+def all_floats(*xs) -> bool:
+    """True when every argument is exactly a Python float: a float path call."""
+    for x in xs:
+        if type(x) is not float:
+            return False
+    return True
+
+
 def _require_finite_positive(name: str, x: float) -> None:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
+    if type(x) is bool or not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
         raise DomainError(f"{name} must be a finite positive number, got {x!r}")
 
 

@@ -6,6 +6,10 @@ mutually consistent, and the curvature bound the exact threshold sizes
 positions by. The log-linear model S(p) = log p2 - beta log p1 - mu is the
 concrete family used throughout; its parameters are fit by least squares on
 log prices, and its curvature bound has a closed form.
+
+Called with Python floats only (a CointegrationSpread's parameters included),
+spread_gradient and the model's gradient and curvature_bound compute in plain
+floats, in the array path's order, and return bit-identical Python floats.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError
+from .domain import DomainError, LengthError, all_floats
 
 
 # relative displacements of the generic curvature bound's coarse xi mesh: 41
@@ -84,6 +88,8 @@ def spread_value(model: SpreadModel, p1, p2):
 def spread_gradient(model: SpreadModel, p1, p2):
     """(g1, g2); rejects stationary points, naming the first one."""
     g1, g2 = model.gradient(p1, p2)
+    if all_floats(p1, p2, g1, g2) and (g1 or g2):
+        return g1, g2
     moves = np.logical_or(g1, g2)
     if not moves.all():
         a, b = (np.broadcast_to(p, moves.shape)[~moves][0] for p in (p1, p2))
@@ -153,20 +159,26 @@ def _mesh_max(model, p1, p2, gamma, c1, c2, grid):
 @dataclass(frozen=True)
 class CointegrationSpread(SpreadModel):
     """Log-linear spread S(p) = log p2 - beta log p1 - mu; beta and mu are
-    floats or per-window arrays, NaN in a window without a fit."""
+    floats or per-window arrays, NaN in a window without a fit. A scalar
+    parameter is stored as a Python float."""
 
     beta: float | np.ndarray
     mu: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, x in (("beta", self.beta), ("mu", self.mu)):
-            if np.ndim(x) == 0 and not math.isfinite(x):
-                raise DomainError(f"{name} must be finite, got {x!r}")
+            if np.ndim(x) == 0:
+                if not math.isfinite(x):
+                    raise DomainError(f"{name} must be finite, got {x!r}")
+                object.__setattr__(self, name, float(x))
 
     def value(self, p1, p2):
         return np.log(p2) - self.beta * np.log(p1) - self.mu
 
     def gradient(self, p1, p2):
+        # a zero price divides by zero: numpy gives inf, Python raises
+        if all_floats(self.beta, p1, p2) and p1 and p2:
+            return -self.beta / p1, 1.0 / p2
         return -self.beta / np.asarray(p1, dtype=float), 1.0 / np.asarray(p2, dtype=float)
 
     def hessian(self, p1, p2):
@@ -183,6 +195,9 @@ class CointegrationSpread(SpreadModel):
         terms have opposite signs for beta > 0, so one alone is the largest,
         and the same sign for beta < 0, so they add.
         """
+        if all_floats(self.beta, p1, p2, gamma) and gamma != 1.0:
+            r = gamma / (1.0 - gamma)
+            return r * r * (max(self.beta, 1.0) + max(-self.beta, 0.0))
         beta = np.asarray(self.beta, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         r = gamma / (1.0 - gamma)

@@ -9,10 +9,13 @@ uncertainty box of one-period price moves:
 
 The box holds the relative moves of at most gamma in each price, xi and d
 independently; the supremum is the spread model's curvature_bound. Both
-thresholds work elementwise over broadcastable price, gamma and eta arrays.
-Non-positive eta gives tau = +inf, which disables trading. Holdings are
-n = -lambda sign(S) grad S with lambda > 0 chosen so the gross exposure
-|n1| p1 + |n2| p2 equals leverage * account_value exactly.
+thresholds work elementwise over broadcastable price, gamma and eta arrays;
+called with Python floats only, they check and divide in plain floats, in
+the array path's order, and return bit-identical Python floats (the model
+may still use numpy). Non-positive eta gives tau = +inf, which disables
+trading. Holdings are n = -lambda sign(S) grad S
+with lambda > 0 chosen so the gross exposure |n1| p1 + |n2| p2 equals
+leverage * account_value exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, all_floats
 from .spread import SpreadModel, spread_hessian
 
 THRESHOLD_MODES = ("approx", "exact")
@@ -35,16 +38,21 @@ def _check(name: str, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
         raise DomainError(f"{name} must {rule}, got {x[at].item()!r}{where}")
 
 
-def _as_arrays(p1, p2, gamma, eta) -> tuple[np.ndarray, ...]:
+def _as_arrays(p1, p2, gamma, eta) -> tuple:
+    """The checked inputs as float arrays; Python floats that pass stay floats."""
+    if all_floats(p1, p2, gamma, eta) and 0.0 < gamma < 1.0 and math.isfinite(eta):
+        return p1, p2, gamma, eta
     p1, p2, gamma, eta = (np.asarray(x, dtype=float) for x in (p1, p2, gamma, eta))
     _check("gamma", gamma, (gamma > 0.0) & (gamma < 1.0), "lie in (0, 1)")
     _check("eta", eta, np.isfinite(eta), "be finite")
     return p1, p2, gamma, eta
 
 
-def _per_point(worst: np.ndarray, eta: np.ndarray):
+def _per_point(worst, eta):
     """worst / (2 eta) per price point, +inf where eta is non-positive; a
     float for scalar inputs."""
+    if all_floats(worst, eta):
+        return worst / (2.0 * eta) if eta > 0.0 else math.inf
     tau = np.full(np.broadcast(worst, eta).shape, math.inf)
     np.divide(worst, 2.0 * eta, out=tau, where=eta > 0.0)
     return tau if tau.ndim else float(tau)

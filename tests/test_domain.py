@@ -32,6 +32,12 @@ class TestPricePoint:
         with pytest.raises(DomainError):
             PricePoint(bad, 50.0)
 
+    def test_bool_rejected(self):
+        with pytest.raises(DomainError, match="p1 must be a finite positive number, got True"):
+            PricePoint(True, 50.0)
+        with pytest.raises(DomainError, match="p2"):
+            PricePoint(100.0, True)
+
 
 class TestPriceSeries:
     def test_happy(self):

@@ -82,6 +82,20 @@ class TestValue:
             CointegrationSpread(beta=1.0, mu=math.inf)
 
 
+class TestStoredParameters:
+    @pytest.mark.parametrize("x", [2, np.float64(2.0), np.array(2.0), np.int64(2), 2.0])
+    def test_scalar_stored_as_python_float(self, x):
+        m = CointegrationSpread(beta=x, mu=x)
+        assert type(m.beta) is float and type(m.mu) is float
+        assert m.beta == m.mu == 2.0
+
+    def test_per_window_arrays_untouched(self):
+        beta = np.array([[1.5], [2.0]])
+        mu = np.zeros((2, 1))
+        m = CointegrationSpread(beta=beta, mu=mu)
+        assert m.beta is beta and m.mu is mu
+
+
 class TestGradient:
     def test_hand_example(self):
         m = CointegrationSpread(beta=2.0, mu=0.0)
