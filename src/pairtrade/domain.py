@@ -30,7 +30,11 @@ def all_floats(*xs) -> bool:
 
 
 def _require_finite_positive(name: str, x: float) -> None:
-    if type(x) is bool or not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
+    try:
+        ok = type(x) is not bool and isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise DomainError(f"{name} must be a finite positive number, got {x!r}")
 
 

@@ -168,6 +168,8 @@ class CointegrationSpread(SpreadModel):
     def __post_init__(self) -> None:
         for name, x in (("beta", self.beta), ("mu", self.mu)):
             if np.ndim(x) == 0:
+                if np.asarray(x).dtype == bool:
+                    raise DomainError(f"{name} must be a number, got {x!r}")
                 if not math.isfinite(x):
                     raise DomainError(f"{name} must be finite, got {x!r}")
                 object.__setattr__(self, name, float(x))

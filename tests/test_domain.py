@@ -38,6 +38,13 @@ class TestPricePoint:
         with pytest.raises(DomainError, match="p2"):
             PricePoint(100.0, True)
 
+    def test_int_beyond_float_range_rejected(self):
+        # math.isfinite raises OverflowError on such an int
+        with pytest.raises(DomainError, match="p1 must be a finite positive number"):
+            PricePoint(10**400, 1.0)
+        with pytest.raises(DomainError, match="p2"):
+            PricePoint(1.0, -(10**400))
+
 
 class TestPriceSeries:
     def test_happy(self):

@@ -81,6 +81,13 @@ class TestValue:
         with pytest.raises(DomainError):
             CointegrationSpread(beta=1.0, mu=math.inf)
 
+    @pytest.mark.parametrize("flag", [True, np.True_, np.array(False)])
+    def test_bool_params_rejected(self, flag):
+        with pytest.raises(DomainError, match="beta must be a number"):
+            CointegrationSpread(beta=flag, mu=0.0)
+        with pytest.raises(DomainError, match="mu must be a number"):
+            CointegrationSpread(beta=1.0, mu=flag)
+
 
 class TestStoredParameters:
     @pytest.mark.parametrize("x", [2, np.float64(2.0), np.array(2.0), np.int64(2), 2.0])

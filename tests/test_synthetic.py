@@ -8,19 +8,25 @@ The generator's laws checked here:
   - estimate_eta applied to the true spread converges to theta.
 """
 
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairtrade import kernels
 from pairtrade.domain import DomainError, LengthError, PricePoint, return_arrays
 from pairtrade.estimation import estimate_eta
 from pairtrade.spread import CointegrationSpread
 from pairtrade.synthetic import (
+    CHUNK_TRIALS,
     OUPairSpec,
     _one_sided_p,
     generate_pair,
@@ -146,8 +152,40 @@ class TestTrialGenerators:
         assert not np.array_equal(a.uniform(size=8), b.uniform(size=8))
 
     def test_trials_domain(self):
+        # raised at the call, before anything is iterated
         with pytest.raises(DomainError):
             trial_generators(0, 0)
+
+    def test_streams_built_on_demand(self):
+        # an iterator, not a list: verify_theorem builds one chunk at a time
+        gens = trial_generators(5, 3)
+        assert iter(gens) is gens
+        assert all(isinstance(g, np.random.Generator) for g in gens)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**63))
+    def test_chunked_draws_follow_the_spawn_rule(self, seed):
+        # every trial's innovations, as verify_theorem feeds them to the OU
+        # recursion chunk by chunk, are uniform(-1, 1) from child t of
+        # SeedSequence(seed) bit for bit, across the chunk boundary too
+        trials, periods = CHUNK_TRIALS + 3, 12
+        blocks = []
+        recursion = kernels.ou_recursion
+
+        def recording(u, v, *args):
+            blocks.append((u.copy(), v.copy()))
+            return recursion(u, v, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "ou_recursion", recording)
+            verify_theorem(make_spec(seed=seed), trials=trials, periods=periods)
+        assert [u.shape[1] for u, _ in blocks] == [CHUNK_TRIALS, 3]
+        children = np.random.SeedSequence(seed).spawn(trials)
+        for t in (0, CHUNK_TRIALS - 1, CHUNK_TRIALS, trials - 1):
+            u, v = blocks[t // CHUNK_TRIALS]
+            got = np.stack([u[:, t % CHUNK_TRIALS], v[:, t % CHUNK_TRIALS]])
+            expect = np.random.default_rng(children[t]).uniform(-1.0, 1.0, (2, periods - 1))
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 class TestVerifyTheorem:
@@ -199,6 +237,20 @@ class TestVerifyTheorem:
         with pytest.raises(DomainError):
             verify_theorem(make_spec(), trials=5, periods=50, mode="bogus")
 
+    def test_memory_does_not_grow_with_trials(self):
+        # streams and blocks live one chunk at a time: 6 more chunks of
+        # trials must not raise the traced peak by 1 MiB (0.9 KiB per trial
+        # when every generator was built up front)
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                verify_theorem(make_spec(seed=3), trials=trials, periods=250)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * CHUNK_TRIALS) - peak(2 * CHUNK_TRIALS) < 2**20
+
     def test_trials_domain(self):
         with pytest.raises(DomainError):
             verify_theorem(make_spec(), trials=0)
@@ -221,9 +273,15 @@ class TestVerifyTheorem:
 
 
 class TestOneSidedP:
-    @pytest.mark.parametrize("count", [2, 3, 7, 30, 251, 10_000, 1_342_195])
-    @pytest.mark.parametrize("t_stat", [-4.0, -0.3, 0.02, 1.0, 2.5, 8.0])
+    # df = count - 1 covers 1, 2, 3, 7, 30, 251, 1e4, 1342194 and 1e7
+    @pytest.mark.parametrize(
+        "count", [2, 3, 4, 7, 8, 30, 31, 251, 252, 10_000, 10_001, 1_342_195, 10_000_001]
+    )
+    @pytest.mark.parametrize(
+        "t_stat", [s * x for x in (0.02, 0.3, 1.0, 2.5, 4.0, 8.0, 40.0) for s in (1, -1)]
+    )
     def test_matches_scipy_t_sf(self, count, t_stat):
+        # scipy is the oracle here only: the package computes the tail itself
         stats = pytest.importorskip("scipy.stats")
         # running sums of `count` draws with mean +-1 and the variance giving t_stat
         mean = 1.0 if t_stat > 0 else -1.0
@@ -234,22 +292,35 @@ class TestOneSidedP:
         m = total / count
         t = m / math.sqrt((totsq - count * m * m) / (count - 1) / count)
         assert got_mean == m
-        assert p == float(stats.t.sf(t, count - 1))
+        expect = float(stats.t.sf(t, count - 1))
+        if expect == 0.0:
+            assert p == 0.0
+        else:
+            assert p == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_degenerate_counts(self):
         assert _one_sided_p(0, 0.0, 0.0) == (None, None)
         assert _one_sided_p(1, 2.0, 4.0) == (2.0, None)
         assert _one_sided_p(3, 6.0, 12.0) == (2.0, 0.0)
+        # a zero mean is t = 0, the median of any t distribution
+        assert _one_sided_p(3, 0.0, 2.0) == (0.0, 0.5)
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy loads only when a p-value is computed, never at CLI start-up
-    code = "import sys, pairtrade.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the runtime is numpy only: neither CLI start-up nor a montecarlo call,
+    # p-value included, loads scipy
+    code = (
+        "import sys, pairtrade.cli\n"
+        "assert pairtrade.cli.main(['montecarlo', '--trials', '20', '--periods', '60']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    *payload, loaded = out.stdout.splitlines()
+    assert 0.0 < json.loads("\n".join(payload))["p_value"] < 1.0
+    assert loaded == "[]"
 
 
 LOG_LINEAR = CointegrationSpread(2.0, 0.0)
