@@ -12,9 +12,9 @@ independently; the supremum is the spread model's curvature_bound. Both
 thresholds work elementwise over broadcastable price, gamma and eta arrays;
 called with Python floats only, they check and divide in plain floats, in
 the array path's order, and return bit-identical Python floats (the model
-may still use numpy). Non-positive eta gives tau = +inf, which disables
-trading. Holdings are n = -lambda sign(S) grad S
-with lambda > 0 chosen so the gross exposure |n1| p1 + |n2| p2 equals
+may still use numpy). A NaN threshold is always the quiet NaN math.nan.
+Non-positive eta gives tau = +inf, which disables trading. Holdings are
+n = -lambda sign(S) grad S with lambda > 0 chosen so the gross exposure |n1| p1 + |n2| p2 equals
 leverage * account_value exactly.
 """
 
@@ -50,11 +50,15 @@ def _as_arrays(p1, p2, gamma, eta) -> tuple:
 
 def _per_point(worst, eta):
     """worst / (2 eta) per price point, +inf where eta is non-positive; a
-    float for scalar inputs."""
+    float for scalar inputs. Every NaN comes out as the one quiet NaN: which
+    of two NaN operands an addition passes on differs between numpy's scalar
+    and array loops, so a NaN's payload and sign carry no meaning."""
     if all_floats(worst, eta):
-        return worst / (2.0 * eta) if eta > 0.0 else math.inf
+        tau = worst / (2.0 * eta) if eta > 0.0 else math.inf
+        return tau if tau == tau else math.nan
     tau = np.full(np.broadcast(worst, eta).shape, math.inf)
     np.divide(worst, 2.0 * eta, out=tau, where=eta > 0.0)
+    np.copyto(tau, math.nan, where=np.isnan(tau))
     return tau if tau.ndim else float(tau)
 
 

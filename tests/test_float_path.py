@@ -12,6 +12,7 @@ values are compared.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from pairtrade.trading import threshold_approx, threshold_exact
 
 TINY = 5e-324  # the smallest subnormal
 SUB = 1e-320  # a subnormal eta: a bound of 0.005 over 2 eta overflows to inf
+# a quiet NaN with a payload: numpy's scalar and array additions pass on
+# different ones of two NaN operands
+NAN1 = struct.unpack("d", struct.pack("Q", 0x7FF8000000000001))[0]
 
 betas = st.one_of(
     st.sampled_from([-3.0, -0.5, -0.0, 0.0, 0.3, 1.0, 2.0, 7.5]),
@@ -85,6 +89,7 @@ def check_paths(f, *args, float_path=True):
 @example(2.0, 100.0, 50.0, 0.05, math.inf)
 @example(2.0, 100.0, 50.0, 0.999, 1e308)
 @example(0.0, 0.0, 0.0, 0.05, TINY)
+@example(-3.0, 0.0, NAN1, 0.05, 1.0)
 def test_thresholds(beta, p1, p2, gamma, eta):
     model = CointegrationSpread(beta, 0.0)
     check_paths(lambda *a: threshold_exact(model, *a), p1, p2, gamma, eta)
