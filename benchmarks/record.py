@@ -18,7 +18,11 @@ file is written at the root of the checkout holding this script.
 With --baseline, a second checkout (the parent commit) runs in pairs with
 DIR: each run of a workload and trace mode is one parent/change pair,
 alternating which side goes first, and the baseline's runs go into
-BENCH_<baseline-label>.json.
+BENCH_<baseline-label>.json. The change's file then also holds a `pairs`
+block: per workload and end-to-end metric of BENCHMARK.json, over the
+untraced pairs where both runs gave a value, the change's wins, ties and
+losses (a win is better in the metric's `better` direction) and the median
+of the change/parent ratios.
 """
 
 from __future__ import annotations
@@ -91,6 +95,36 @@ def summarize(runs: list[dict]) -> dict:
             for w, modes in out.items()}
 
 
+def pair_counts(runs: list[dict], base_runs: list[dict]) -> dict:
+    """{workload: {metric: {wins, ties, losses, median_ratio}}} of the
+    end-to-end metrics over the untraced pairs, `runs` being the change."""
+    def values(side: list[dict]) -> dict:
+        return {(run["workload"], run["run"]): result["metrics"] for run in side
+                if run["trace"] == 0 and (result := parse_result(run)) is not None}
+
+    change, parent = values(runs), values(base_runs)
+    pairs: dict = {}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        for metric in BENCHMARK["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            counts = {"wins": 0, "ties": 0, "losses": 0}
+            ratios = []
+            for key, metrics in change.items():
+                if key[0] != workload or key not in parent:
+                    continue
+                a = metrics.get(name, {}).get("value")
+                b = parent[key].get(name, {}).get("value")
+                if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+                    continue
+                diff = sign * (a - b)
+                counts["wins" if diff > 0 else "losses" if diff < 0 else "ties"] += 1
+                if b:
+                    ratios.append(a / b)
+            pairs.setdefault(workload, {})[name] = {
+                **counts, "median_ratio": statistics.median(ratios) if ratios else None}
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -126,10 +160,13 @@ def main(argv=None) -> int:
                         f"correct={result['correct']} failed={result['failed']}")
                     print(f"{label} run {i} {workload} trace={trace}: exit {run['returncode']}, "
                           f"{state}", file=sys.stderr)
-    return max(write(label, runs[label], args) for label, _ in sides)
+    pairs = {}
+    if args.baseline is not None:
+        pairs[args.label] = pair_counts(runs[args.label], runs[args.baseline_label])
+    return max(write(label, runs[label], args, pairs.get(label)) for label, _ in sides)
 
 
-def write(label: str, runs: list[dict], args: argparse.Namespace) -> int:
+def write(label: str, runs: list[dict], args: argparse.Namespace, pairs: dict | None) -> int:
     """Write BENCH_<label>.json; 1 if a run was malformed or incorrect, else 0."""
     results = [parse_result(run) for run in runs]
     env_line = next((run["env_line"] for run in runs if run["env_line"]), None)
@@ -145,6 +182,8 @@ def write(label: str, runs: list[dict], args: argparse.Namespace) -> int:
         "summary": summarize(runs),
         "runs": runs,
     }
+    if pairs is not None:
+        payload["pairs"] = pairs
     out_path = ROOT / f"BENCH_{label}.json"
     out_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)

@@ -29,11 +29,17 @@ def all_floats(*xs) -> bool:
     return True
 
 
-def _require_finite_positive(name: str, x: float) -> None:
+def finite(x) -> bool:
+    """math.isfinite(x), but False for an int beyond the float range, where
+    math.isfinite raises OverflowError."""
     try:
-        ok = type(x) is not bool and isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0
-    except OverflowError:  # an int beyond the float range
-        ok = False
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _require_finite_positive(name: str, x: float) -> None:
+    ok = type(x) is not bool and isinstance(x, (int, float)) and finite(x) and x > 0.0
     if not ok:
         raise DomainError(f"{name} must be a finite positive number, got {x!r}")
 

@@ -5,6 +5,13 @@ column j is path j. Each kernel steps down the rows, one period for all paths
 at a time, so every path sees the scalar recursion's operations in the
 scalar recursion's order and gets the same doubles a one-path loop would.
 
+Both kernels work in blocks the caller owns, so a caller that reuses one
+set of blocks (verify_theorem's arena) allocates no block per call:
+ou_recursion overwrites its innovation blocks with the paths, and
+trade_scan writes |s| and every period's profit into its `out` blocks.
+Only the per-event results, the traded mask and one-row temporaries are
+allocated.
+
 The one exception to one implementation per kernel: ou_recursion steps a
 one-path block over Python floats, with the same operations in the same
 order, because two ufunc calls on a 1-element row per period cost several
@@ -18,20 +25,21 @@ import numpy as np
 from .spread import StationaryPointError
 
 
-def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
-    """Drive the spread and log-price recursions with innovation blocks.
+def ou_recursion(s, w, theta, sigma_s, sigma_w, s0, w0):
+    """Drive the spread and log-price recursions in place.
 
         s(k+1) = (1 - theta) s(k) + sigma_s u(k)
         w(k+1) = w(k) + sigma_w v(k)
 
-    u and v have shape (steps, paths). Returns (s, w) of shape
-    (steps + 1, paths), row 0 holding the initial state.
+    s and w are float blocks of shape (steps + 1, paths) whose rows 1..steps
+    hold the innovations u(k) and v(k) on entry. Each is overwritten by its
+    paths, row 0 by the initial state, and returned as (s, w).
     """
-    u = np.asarray(u, dtype=float)
-    steps, paths = u.shape
+    steps = len(s) - 1
+    paths = s.shape[1]
     one_minus_theta = 1.0 - theta
-    shocks = sigma_s * u
-    s = np.empty((steps + 1, paths))
+    shocks = s[1:]
+    shocks *= sigma_s
     s[0] = s0
     if paths == 1:
         sk = float(s[0, 0])
@@ -41,18 +49,19 @@ def ou_recursion(u, v, theta, sigma_s, sigma_w, s0, w0):
             path.append(sk)
         s[1:, 0] = path
     else:
+        # shock + (1 - theta) s(k): the same double as the other order
+        pull = np.empty(paths)
         for k in range(steps):
-            np.multiply(s[k], one_minus_theta, out=s[k + 1])
-            s[k + 1] += shocks[k]
-    w = np.empty((steps + 1, paths))
+            np.multiply(s[k], one_minus_theta, out=pull)
+            s[k + 1] += pull
+    w[1:] *= sigma_w
     w[0] = w0
-    np.multiply(sigma_w, v, out=w[1:])
     # add.accumulate runs down axis 0 one row at a time: w(k) + sigma_w v(k)
     np.cumsum(w, axis=0, out=w)
     return s, w
 
 
-def trade_scan(model, p1, p2, s, tau, leverage, v0):
+def trade_scan(model, p1, p2, s, tau, leverage, v0, *, out, gather_sabs=True):
     """Run the fully-invested threshold rule down every path of a block.
 
     p1, p2 and s have shape (periods, paths). Every path starts with account
@@ -62,15 +71,18 @@ def trade_scan(model, p1, p2, s, tau, leverage, v0):
     column gives each period its own threshold. The last period is never
     traded: its profit would need period `periods`. Returns (dv, sabs): the
     profit and |spread| of every traded period, path after path and, within
-    a path, in time order.
+    a path, in time order; sabs is None when gather_sabs is false.
+
+    out is a pair of float blocks shaped like s[:-1] that receive |s| and
+    every period's profit, traded or not.
 
     A gradient that vanishes (or is not finite) at any point of the block
     raises StationaryPointError, traded or not.
     """
-    sabs = np.abs(s[:-1])
+    sabs, dv = out
+    np.abs(s[:-1], out=sabs)
     on = sabs > tau
     v = np.full(s.shape[1], float(v0))
-    dv = np.empty(on.shape)
     # a stationary point divides by zero below; the check after the loop reports it
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(on)):
@@ -86,4 +98,5 @@ def trade_scan(model, p1, p2, s, tau, leverage, v0):
             f"spread gradient vanishes or is not finite at ({p1[k, j]}, {p2[k, j]}), "
             f"period {k} of path {j}"
         )
-    return dv.T[on.T], sabs.T[on.T]
+    events = on.T
+    return dv.T[events], (sabs.T[events] if gather_sabs else None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, all_floats
+from .domain import DomainError, LengthError, all_floats, finite
 
 
 # relative displacements of the generic curvature bound's coarse xi mesh: 41
@@ -170,7 +170,7 @@ class CointegrationSpread(SpreadModel):
             if np.ndim(x) == 0:
                 if np.asarray(x).dtype == bool:
                     raise DomainError(f"{name} must be a number, got {x!r}")
-                if not math.isfinite(x):
+                if not finite(x):
                     raise DomainError(f"{name} must be finite, got {x!r}")
                 object.__setattr__(self, name, float(x))
 

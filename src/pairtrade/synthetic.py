@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .domain import DomainError, LengthError, PricePoint, PriceSeries
+from .domain import DomainError, LengthError, PricePoint, PriceSeries, finite
 from .spread import CointegrationSpread, SpreadModel, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
-# trials simulated side by side; bounds the block arrays of verify_theorem
-# and the generators alive at once (each (periods, CHUNK_TRIALS) array is
-# 2 MB at 250 periods)
+# trials simulated side by side; bounds verify_theorem's arena and the
+# generators alive at once (each (periods, CHUNK_TRIALS) plane is 2 MB at
+# 250 periods)
 CHUNK_TRIALS = 1024
 
 
@@ -69,15 +69,19 @@ class OUPairSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 < self.theta < 1.0):
+        for name in ("theta", "sigma_s", "sigma_w", "beta_true", "mu_true", "gamma_cap", "s0"):
+            x = getattr(self, name)
+            if np.asarray(x).dtype == bool:
+                raise DomainError(f"{name} must be a number, got {x!r}")
+        if not (finite(self.theta) and 0.0 < self.theta < 1.0):
             raise DomainError(f"theta must lie in (0, 1), got {self.theta!r}")
         for name, x in (("sigma_s", self.sigma_s), ("sigma_w", self.sigma_w)):
-            if not (math.isfinite(x) and x >= 0.0):
+            if not (finite(x) and x >= 0.0):
                 raise DomainError(f"{name} must be finite and non-negative, got {x!r}")
         for name, x in (("beta_true", self.beta_true), ("mu_true", self.mu_true), ("s0", self.s0)):
-            if not math.isfinite(x):
+            if not finite(x):
                 raise DomainError(f"{name} must be finite, got {x!r}")
-        if not (math.isfinite(self.gamma_cap) and 0.0 < self.gamma_cap < 1.0):
+        if not (finite(self.gamma_cap) and 0.0 < self.gamma_cap < 1.0):
             raise DomainError(f"gamma_cap must lie in (0, 1), got {self.gamma_cap!r}")
         check_seed(self.seed)
         # worst-case |delta log p1| and |delta log p2| per period against the
@@ -116,30 +120,33 @@ def trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
     )
 
 
-def _simulate(spec: OUPairSpec, length: int, rngs) -> tuple[np.ndarray, ...]:
-    """One path per generator, side by side.
+def _simulate(spec: OUPairSpec, rngs, block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One path per generator, side by side, computed in place in block.
 
-    Generator j draws its own (2, length - 1) uniform block, so a path does
-    not depend on which others share its block. Returns the spread and both
-    prices, (s, p1, p2), each of shape (length, len(rngs)).
+    block is a C-contiguous float array of shape (>= 4, length, n), its
+    planes overwritten, and rngs yields n generators, each dropped once it
+    has drawn. Generator j draws its own (2, length - 1) uniform block into
+    the memory of planes 0 and 1, so a path does not depend on which others
+    share its block. Returns the spread and both prices, (s, p1, p2), as
+    planes 2, 3 and 0; plane 1 is left as scratch.
     """
-    draws = np.empty((len(rngs), 2, length - 1))
-    for rng, row in zip(rngs, draws):
+    _, length, n = block.shape
+    draws = block[:2].reshape(-1)[: n * 2 * (length - 1)].reshape(n, 2, length - 1)
+    for row, rng in zip(draws, rngs):
         rng.random(out=row)
-    # 2U - 1 is uniform(-1, 1)'s own arithmetic (2U is exact), so the doubles match
-    draws *= 2.0
-    draws -= 1.0
-    u, v = np.ascontiguousarray(draws.transpose(1, 2, 0))
-    del draws
-    s, w = kernels.ou_recursion(
-        u, v, spec.theta, spec.sigma_s, spec.sigma_w, spec.s0, math.log(spec.p0.p1)
+    p2, spare, s, w = block[:4]
+    # 2U - 1 is uniform(-1, 1)'s own arithmetic (2U is exact), so the doubles
+    # match; the doubling is the transpose into time-major innovation rows
+    for plane, uniforms in ((s, draws[:, 0]), (w, draws[:, 1])):
+        np.multiply(uniforms.T, 2.0, out=plane[1:])
+        plane[1:] -= 1.0
+    kernels.ou_recursion(
+        s, w, spec.theta, spec.sigma_s, spec.sigma_w, spec.s0, math.log(spec.p0.p1)
     )
-    del u, v
-    p2 = spec.beta_true * w
-    p2 += spec.mu_true + s
+    np.multiply(w, spec.beta_true, out=p2)
+    p2 += np.add(s, spec.mu_true, out=spare)
     np.exp(p2, out=p2)
-    p1 = np.exp(w, out=w)
-    return s, p1, p2
+    return s, np.exp(w, out=w), p2
 
 
 def generate_pair(spec: OUPairSpec, length: int) -> PriceSeries:
@@ -147,7 +154,7 @@ def generate_pair(spec: OUPairSpec, length: int) -> PriceSeries:
     if length < 2:
         raise LengthError(f"length must be at least 2, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    _, p1, p2 = _simulate(spec, length, [rng])
+    _, p1, p2 = _simulate(spec, [rng], np.empty((4, length, 1)))
     dates = tuple(f"{k:08d}" for k in range(length))
     return PriceSeries(dates, p1[:, 0], p2[:, 0])
 
@@ -302,9 +309,13 @@ def verify_theorem(
     threshold variants are price-independent for the log-linear family, so
     they are evaluated once at p0. Per-event profits are pooled across trials
     and tested one-sided against mean <= 0. Trials are simulated
-    CHUNK_TRIALS at a time, each from its own trial_generators stream, so
-    memory is O(CHUNK_TRIALS) whatever the number of trials.
+    CHUNK_TRIALS at a time, each from its own trial_generators stream, in
+    one arena that every chunk reuses, so memory is O(CHUNK_TRIALS)
+    whatever the number of trials.
     """
+    for name, n in (("trials", trials), ("periods", periods)):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DomainError(f"{name} must be an integer, got {n!r}")
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
     if periods < 2:
@@ -335,19 +346,31 @@ def verify_theorem(
         bin_sums = np.zeros(collect_bins)
         bin_counts = np.zeros(collect_bins, dtype=np.int64)
 
+    # every chunk runs in one arena of five (periods, CHUNK_TRIALS) planes:
+    # the spread, both prices, a spare plane and the trade scan's profits
+    arena = np.empty((5, periods, min(trials, CHUNK_TRIALS)))
     rngs = trial_generators(spec.seed, trials)
-    for _ in range(0, trials, CHUNK_TRIALS):
-        s, p1, p2 = _simulate(spec, periods, list(itertools.islice(rngs, CHUNK_TRIALS)))
-        dv, sabs = kernels.trade_scan(model, p1, p2, s, tau, leverage, initial_value)
+    for start in range(0, trials, CHUNK_TRIALS):
+        n = min(CHUNK_TRIALS, trials - start)
+        # a shorter last chunk packs its planes into the front of the arena
+        block = np.ndarray((len(arena), periods, n), buffer=arena)
+        s, p1, p2 = _simulate(spec, itertools.islice(rngs, n), block)
+        dv, sabs = kernels.trade_scan(
+            model, p1, p2, s, tau, leverage, initial_value,
+            out=(block[1, :-1], block[4, :-1]), gather_sabs=use_bins,
+        )
         count += dv.size
         total += float(np.sum(dv))
         totsq += float(np.dot(dv, dv))
         if use_bins:
-            idx = np.clip(np.digitize(sabs, edges) - 1, 0, collect_bins - 1)
+            idx = np.digitize(sabs, edges)
+            idx -= 1
+            np.clip(idx, 0, collect_bins - 1, out=idx)
             bin_sums += np.bincount(idx, weights=dv, minlength=collect_bins)
             bin_counts += np.bincount(idx, minlength=collect_bins)
-        # one chunk's blocks alive at a time, not two
-        del s, p1, p2, dv, sabs
+            del idx
+        # one chunk's event arrays alive at a time, not two
+        del dv, sabs
 
     mean, p_value = _one_sided_p(count, total, totsq)
     bins_kw = {}

@@ -24,13 +24,28 @@ def _inputs(n=5_000, seed=123):
     return u, v
 
 
+def _ou(u, v, *args):
+    """ou_recursion on fresh (steps + 1, paths) blocks whose rows 1.. hold u and v."""
+    s = np.empty((len(u) + 1, u.shape[1]))
+    w = np.empty_like(s)
+    s[1:] = u
+    w[1:] = v
+    return kernels.ou_recursion(s, w, *args)
+
+
 def _block(n=2_000, paths=3, seed=9):
     """(p1, p2, s) blocks of `paths` independent paths of length n + 1."""
     draws = [_inputs(n, seed + j) for j in range(paths)]
     u = np.column_stack([d[0] for d in draws])
     v = np.column_stack([d[1] for d in draws])
-    s, w = kernels.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.0, math.log(100.0))
+    s, w = _ou(u, v, 0.3, 0.012, 0.005, 0.0, math.log(100.0))
     return np.exp(w), np.exp(2.0 * w + s), s
+
+
+def _scan(model, p1, p2, s, *args, **kwargs):
+    """trade_scan with fresh out blocks unless given."""
+    kwargs.setdefault("out", tuple(np.empty((2, *s[:-1].shape))))
+    return kernels.trade_scan(model, p1, p2, s, *args, **kwargs)
 
 
 class TestOuRecursion:
@@ -38,7 +53,7 @@ class TestOuRecursion:
         # hand-check the first two steps of the recursion on a one-path block
         u = np.array([[1.0], [-0.5]])
         v = np.array([[0.25], [0.25]])
-        s, w = kernels.ou_recursion(u, v, 0.3, 0.01, 0.005, 0.1, 2.0)
+        s, w = _ou(u, v, 0.3, 0.01, 0.005, 0.1, 2.0)
         assert s.shape == w.shape == (3, 1)
         assert s[0, 0] == 0.1 and w[0, 0] == 2.0
         assert s[1, 0] == pytest.approx(0.7 * 0.1 + 0.01, rel=1e-15)
@@ -46,15 +61,23 @@ class TestOuRecursion:
         assert s[2, 0] == pytest.approx(0.7 * s[1, 0] - 0.005, rel=1e-15)
 
     def test_paths_equal_scalar_loop(self):
-        u = np.column_stack([_inputs(3_000, seed)[0] for seed in (1, 2, 3)])
-        v = np.column_stack([_inputs(3_000, seed)[1] for seed in (1, 2, 3)])
-        s, w = kernels.ou_recursion(u, v, 0.3, 0.012, 0.005, 0.02, math.log(100.0))
-        for j in range(3):
-            ref_s, ref_w = scalar_oracle.ou_recursion(
-                u[:, j], v[:, j], 0.3, 0.012, 0.005, 0.02, math.log(100.0)
-            )
-            assert np.array_equal(s[:, j], ref_s)
-            assert np.array_equal(w[:, j], ref_w)
+        # one path takes the Python-float loop, three take the row loop; both
+        # overwrite the innovation blocks they are given
+        for paths in (1, 3):
+            seeds = range(1, paths + 1)
+            u = np.column_stack([_inputs(3_000, seed)[0] for seed in seeds])
+            v = np.column_stack([_inputs(3_000, seed)[1] for seed in seeds])
+            blocks = np.empty((2, 3_001, paths))
+            blocks[0, 1:] = u
+            blocks[1, 1:] = v
+            s, w = kernels.ou_recursion(*blocks, 0.3, 0.012, 0.005, 0.02, math.log(100.0))
+            assert np.shares_memory(s, blocks[0]) and np.shares_memory(w, blocks[1])
+            for j in range(paths):
+                ref_s, ref_w = scalar_oracle.ou_recursion(
+                    u[:, j], v[:, j], 0.3, 0.012, 0.005, 0.02, math.log(100.0)
+                )
+                assert np.array_equal(s[:, j], ref_s)
+                assert np.array_equal(w[:, j], ref_w)
 
 
 class TestTradeScan:
@@ -73,7 +96,7 @@ class TestTradeScan:
 
         p1, p2, s = _block(300, paths=2)
         lev, v0 = 1.0, 10_000.0
-        dv, sabs = kernels.trade_scan(model, p1, p2, s, tau, lev, v0)
+        dv, sabs = _scan(model, p1, p2, s, tau, lev, v0)
 
         taus = np.broadcast_to(tau, s[:-1].shape)
         expect_dv, expect_sabs, finals = [], [], []
@@ -100,7 +123,7 @@ class TestTradeScan:
     @pytest.mark.parametrize("tau, leverage", [(0.00625, 1.0), (0.02, 2.5), (0.0, 0.5)])
     def test_paths_equal_scalar_loop(self, tau, leverage):
         p1, p2, s = _block(1_000, paths=4)
-        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, tau, leverage, 10_000.0)
+        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, tau, leverage, 10_000.0)
         refs = [
             scalar_oracle.trade_scan(p1[:, j], p2[:, j], s[:, j], 2.0, tau, leverage, 10_000.0)
             for j in range(4)
@@ -108,9 +131,26 @@ class TestTradeScan:
         assert np.array_equal(dv, np.concatenate([r[0] for r in refs]))
         assert np.array_equal(sabs, np.concatenate([r[1] for r in refs]))
 
+    @pytest.mark.parametrize("tau", [0.00625, math.inf])
+    def test_out_blocks(self, tau):
+        # the out blocks receive |s| and every period's profit, traded or
+        # not; |s| is gathered per event only on request
+        p1, p2, s = _block(400, paths=3)
+        dv, _ = _scan(LOG_LINEAR, p1, p2, s, tau, 1.0, 10_000.0)
+        planes = np.full((2, *s[:-1].shape), np.nan)
+        got_dv, got_sabs = _scan(
+            LOG_LINEAR, p1, p2, s, tau, 1.0, 10_000.0, out=tuple(planes), gather_sabs=False
+        )
+        assert got_sabs is None
+        assert np.array_equal(got_dv, dv)
+        assert np.array_equal(planes[0], np.abs(s[:-1]))
+        assert np.isfinite(planes[1]).all()
+        on = planes[0] > tau
+        assert np.array_equal(planes[1].T[on.T], dv)
+
     def test_infinite_tau_never_trades(self):
         p1, p2, s = _block(500)
-        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, math.inf, 1.0, 10_000.0)
+        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, math.inf, 1.0, 10_000.0)
         assert dv.size == 0 and sabs.size == 0
 
     def test_last_period_not_traded(self):
@@ -118,7 +158,7 @@ class TestTradeScan:
         p1 = np.array([[100.0], [101.0]])
         p2 = np.array([[50.0], [49.0]])
         s = np.array([[1.0], [1.0]])
-        dv, sabs = kernels.trade_scan(LOG_LINEAR, p1, p2, s, 0.1, 1.0, 10_000.0)
+        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, 0.1, 1.0, 10_000.0)
         assert dv.size == 1
         assert sabs[0] == 1.0
 
@@ -131,4 +171,4 @@ class TestTradeScan:
 
         p1, p2, s = _block(50)
         with pytest.raises(StationaryPointError):
-            kernels.trade_scan(Flat(2.0, 0.0), p1, p2, s, tau, 1.0, 10_000.0)
+            _scan(Flat(2.0, 0.0), p1, p2, s, tau, 1.0, 10_000.0)

@@ -83,8 +83,8 @@ class TestVerifyTheoremOracle:
         seen = []
         scan = kernels.trade_scan
 
-        def recording(*args):
-            dv, sabs = scan(*args)
+        def recording(*args, **kwargs):
+            dv, sabs = scan(*args, **kwargs)
             seen.append(dv)
             return dv, sabs
 

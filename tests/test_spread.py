@@ -81,6 +81,13 @@ class TestValue:
         with pytest.raises(DomainError):
             CointegrationSpread(beta=1.0, mu=math.inf)
 
+    def test_huge_int_params_rejected(self):
+        # math.isfinite raises OverflowError on an int beyond the float range
+        with pytest.raises(DomainError, match="beta must be finite"):
+            CointegrationSpread(beta=10**400, mu=0.0)
+        with pytest.raises(DomainError, match="mu must be finite"):
+            CointegrationSpread(beta=1.0, mu=-(10**400))
+
     @pytest.mark.parametrize("flag", [True, np.True_, np.array(False)])
     def test_bool_params_rejected(self, flag):
         with pytest.raises(DomainError, match="beta must be a number"):

@@ -64,6 +64,18 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             make_spec(seed=1.5)
 
+    @pytest.mark.parametrize("name", ["beta_true", "sigma_s", "gamma_cap", "theta", "s0"])
+    def test_huge_int_rejected(self, name):
+        # math.isfinite raises OverflowError on an int beyond the float range
+        with pytest.raises(DomainError, match=name):
+            make_spec(**{name: 10**400})
+
+    @pytest.mark.parametrize("flag", [True, np.False_])
+    @pytest.mark.parametrize("name", ["beta_true", "mu_true", "sigma_s", "s0"])
+    def test_bool_rejected(self, name, flag):
+        with pytest.raises(DomainError, match=f"{name} must be a number"):
+            make_spec(**{name: flag})
+
     def test_spread_bound(self):
         spec = make_spec(s0=0.01)
         assert spec.spread_bound == pytest.approx(max(0.01, 0.012 / 0.3))
@@ -172,9 +184,10 @@ class TestTrialGenerators:
         blocks = []
         recursion = kernels.ou_recursion
 
-        def recording(u, v, *args):
-            blocks.append((u.copy(), v.copy()))
-            return recursion(u, v, *args)
+        def recording(s, w, *args):
+            # rows 1.. of the blocks hold the innovations on entry
+            blocks.append((s[1:].copy(), w[1:].copy()))
+            return recursion(s, w, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "ou_recursion", recording)
@@ -254,6 +267,61 @@ class TestVerifyTheorem:
     def test_trials_domain(self):
         with pytest.raises(DomainError):
             verify_theorem(make_spec(), trials=0)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(trials=True), dict(trials=2.5), dict(periods=True), dict(periods=50.0)]
+    )
+    def test_counts_must_be_ints(self, kw):
+        with pytest.raises(DomainError, match="must be an integer"):
+            verify_theorem(make_spec(), **{"trials": 5, "periods": 50, **kw})
+
+    @pytest.mark.parametrize("collect_bins", [0, 4])
+    def test_memory_is_one_arena(self, monkeypatch, collect_bins):
+        # a 4-chunk run's traced peak is its arena of five (periods,
+        # CHUNK_TRIALS) planes, one chunk's per-event arrays (the profits, and
+        # with bins the |spread| and bin index too) and under 1 MiB besides
+        periods = 250
+        events = []
+        scan = kernels.trade_scan
+
+        def recording(*args, **kwargs):
+            dv, sabs = scan(*args, **kwargs)
+            events.append(dv.size)
+            return dv, sabs
+
+        monkeypatch.setattr(kernels, "trade_scan", recording)
+        spec = make_spec(seed=3)
+        verify_theorem(spec, trials=4 * CHUNK_TRIALS, periods=periods, collect_bins=collect_bins)
+        tracemalloc.start()
+        try:
+            verify_theorem(spec, trials=4 * CHUNK_TRIALS, periods=periods,
+                           collect_bins=collect_bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arena = 5 * periods * CHUNK_TRIALS * 8
+        per_event = 8 * (3 if collect_bins else 1)
+        assert len(events) == 8 and max(events) > 0
+        assert peak <= arena + per_event * max(events) + 2**20
+
+    def test_chunks_share_one_arena(self):
+        # full chunks, a partial one and a one-path one all run on contiguous
+        # views of one buffer
+        blocks = []
+        recursion = kernels.ou_recursion
+
+        def recording(s, w, *args):
+            blocks.append((s, w))
+            return recursion(s, w, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "ou_recursion", recording)
+            verify_theorem(make_spec(), trials=2 * CHUNK_TRIALS + 1, periods=12)
+        arena = blocks[0][0].base
+        assert [s.shape for s, _ in blocks] == [(12, CHUNK_TRIALS)] * 2 + [(12, 1)]
+        for s, w in blocks:
+            assert s.base is arena and w.base is arena
+            assert s.flags.c_contiguous and w.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "kw",
