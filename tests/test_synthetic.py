@@ -304,8 +304,8 @@ class TestVerifyTheorem:
         assert len(events) == 8 and max(events) > 0
         assert peak <= arena + per_event * max(events) + 2**20
 
-    def test_chunks_share_one_arena(self):
-        # full chunks, a partial one and a one-path one all run on contiguous
+    def test_chunks_share_one_arena(self, monkeypatch):
+        # two full chunks and a one-path last chunk all run on contiguous
         # views of one buffer
         blocks = []
         recursion = kernels.ou_recursion
@@ -314,9 +314,8 @@ class TestVerifyTheorem:
             blocks.append((s, w))
             return recursion(s, w, *args)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "ou_recursion", recording)
-            verify_theorem(make_spec(), trials=2 * CHUNK_TRIALS + 1, periods=12)
+        monkeypatch.setattr(kernels, "ou_recursion", recording)
+        verify_theorem(make_spec(), trials=2 * CHUNK_TRIALS + 1, periods=12)
         arena = blocks[0][0].base
         assert [s.shape for s, _ in blocks] == [(12, CHUNK_TRIALS)] * 2 + [(12, 1)]
         for s, w in blocks:
