@@ -16,6 +16,8 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   that five windows have no fit; each in both threshold modes
 - `montecarlo --seed S`, its other settings at their defaults, and again in
   exact mode with `--bins 4 --leverage 2.5`
+- `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
+  of entropy, with 1500 trials, so its last chunk of trials is partial
 - `verify-lemma --samples 10000 --seed S`, again with gamma, band, p0,
   beta and mu moved off their defaults, and at each beta in `LEMMA_BETAS`;
   with the default beta 2 and the moved -0.5 these reach every branch of
@@ -50,6 +52,8 @@ BACKTEST_SETTINGS = {
 }
 # verify-lemma betas, each run at --samples 10000
 LEMMA_BETAS = ("1", "0.5", "0")
+# a montecarlo seed of three 32-bit words
+WIDE_SEED = 2**64 + 5
 # invalid settings: each must fail the same way, exit code and stderr
 ERROR_CALLS = [
     ("verify-lemma", ["--seed", "-1"]),
@@ -103,6 +107,8 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     out.append(("montecarlo", ["montecarlo", "--seed", str(seed)]))
     out.append(("montecarlo-exact", ["montecarlo", "--threshold-mode", "exact", "--bins", "4",
                                      "--leverage", "2.5", "--seed", str(seed)]))
+    out.append(("montecarlo-wide-seed", ["montecarlo", "--seed", str(WIDE_SEED), "--trials",
+                                         "1500", "--periods", "40"]))
     out.append(("lemma", ["verify-lemma", "--samples", "10000", "--seed", str(seed)]))
     out.append(("lemma-moved", ["verify-lemma", "--gamma", "0.1", "--band", "0.5", "--p0", "40",
                                 "80", "--beta", "-0.5", "--mu", "0.3", "--seed", str(seed)]))

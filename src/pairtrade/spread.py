@@ -220,8 +220,10 @@ def fit_cointegration(p1, p2) -> CointegrationSpread:
     ym = np.mean(y, axis=-1, keepdims=True)
     dx = (x - xm).reshape(-1, n)
     dy = (y - ym).reshape(-1, n)
-    # one np.dot per window: a batched einsum sums in another order
-    sxx = np.array([np.dot(a, a) for a in dx]).reshape(xm.shape)
-    sxy = np.array([np.dot(a, b) for a, b in zip(dx, dy)]).reshape(xm.shape)
+    # (1, n) @ (n, 1) per window: matmul runs np.dot's kernel on each stack
+    # entry, so the sums match a per-window np.dot bit for bit (a batched
+    # einsum sums in another order)
+    sxx = np.matmul(dx[:, None, :], dx[:, :, None]).reshape(xm.shape)
+    sxy = np.matmul(dx[:, None, :], dy[:, :, None]).reshape(xm.shape)
     beta = np.divide(sxy, sxx, out=np.full(sxx.shape, math.nan), where=sxx != 0.0)
     return CointegrationSpread(beta=beta, mu=ym - beta * xm)

@@ -11,6 +11,7 @@ The generator's laws checked here:
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairtrade import kernels
@@ -29,6 +30,7 @@ from pairtrade.synthetic import (
     CHUNK_TRIALS,
     OUPairSpec,
     _one_sided_p,
+    _pcg64_seeds,
     generate_pair,
     trial_generators,
     verify_lemma,
@@ -96,6 +98,11 @@ class TestGeneratePair:
     def test_length_domain(self):
         with pytest.raises(LengthError):
             generate_pair(make_spec(), 1)
+
+    @pytest.mark.parametrize("length", [2.5, 10.0, True])
+    def test_length_must_be_an_int(self, length):
+        with pytest.raises(LengthError, match="must be an integer"):
+            generate_pair(make_spec(), length)
 
     def test_zero_noise_constant(self):
         spec = make_spec(sigma_s=0.0, sigma_w=0.0, s0=0.0)
@@ -199,6 +206,59 @@ class TestTrialGenerators:
             got = np.stack([u[:, t % CHUNK_TRIALS], v[:, t % CHUNK_TRIALS]])
             expect = np.random.default_rng(children[t]).uniform(-1.0, 1.0, (2, periods - 1))
             assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+# spawn keys of one and of two 32-bit words, both sides of the chunk size
+SPAWN_KEYS = [0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+class TestTrialSeeds:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**256 - 1))
+    @example(seed=0)
+    @example(seed=2**32)
+    @example(seed=2**128 + 7)
+    def test_seed_words_match_numpy(self, seed):
+        # one-word, multi-word and longer-than-the-pool entropy, in one call
+        # that mixes one- and two-word keys
+        words = _pcg64_seeds(seed, np.array(SPAWN_KEYS, dtype=np.uint64))
+        assert words.shape == (len(SPAWN_KEYS), 4) and words.dtype == np.uint64
+        for key, row in zip(SPAWN_KEYS, words):
+            expect = np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
+            assert np.array_equal(row, expect)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5])
+    def test_generators_spawn_as_numpy(self, seed):
+        trials = CHUNK_TRIALS + 2
+        gens = list(trial_generators(seed, trials))
+        for t in (0, CHUNK_TRIALS + 1):
+            real = np.random.SeedSequence(seed, spawn_key=(t,))
+            ref = np.random.default_rng(real)
+            # twice: the second spawn continues the children count
+            for _ in range(2):
+                got = [g.random(4) for g in gens[t].spawn(3)]
+                expect = [g.random(4) for g in ref.spawn(3)]
+                assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+            # any other state request is the real sequence's
+            seed_seq = gens[t].bit_generator.seed_seq
+            assert np.array_equal(seed_seq.generate_state(8), real.generate_state(8))
+
+    def test_generators_pickle(self):
+        gen = next(trial_generators(2**64 + 5, 1))
+        gen.random(3)
+        copy = pickle.loads(pickle.dumps(gen))
+        assert np.array_equal(copy.random(4), gen.random(4))
+        got = [g.random(4) for g in copy.spawn(2)]
+        expect = [g.random(4) for g in gen.spawn(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    @pytest.mark.parametrize(
+        "seed, trials", [(0, True), (True, 2), (-1, 2), (0.0, 2), (0, 2.5), (0, -3)]
+    )
+    def test_arguments_checked_at_the_call(self, seed, trials):
+        # a negative seed has no finite word split (-1 >> 32 == -1)
+        with pytest.raises(DomainError):
+            trial_generators(seed, trials)
 
 
 class TestVerifyTheorem:
@@ -373,6 +433,19 @@ class TestOneSidedP:
         assert _one_sided_p(3, 0.0, 2.0) == (0.0, 0.5)
 
 
+def _run_python(code: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # numpy.random costs start-up time; trial_generators loads it on first use
+    code = "import sys, pairtrade.cli\nprint('numpy.random' in sys.modules)"
+    assert _run_python(code).strip() == "False"
+
+
 def test_cli_import_leaves_scipy_out():
     # the runtime is numpy only: neither CLI start-up nor a montecarlo call,
     # p-value included, loads scipy
@@ -381,11 +454,7 @@ def test_cli_import_leaves_scipy_out():
         "assert pairtrade.cli.main(['montecarlo', '--trials', '20', '--periods', '60']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    *payload, loaded = out.stdout.splitlines()
+    *payload, loaded = _run_python(code).splitlines()
     assert 0.0 < json.loads("\n".join(payload))["p_value"] < 1.0
     assert loaded == "[]"
 
