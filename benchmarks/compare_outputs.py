@@ -18,6 +18,9 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   exact mode with `--bins 4 --leverage 2.5`
 - `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
   of entropy, with 1500 trials, so its last chunk of trials is partial
+- `montecarlo` at the tile edges of the trade scan (`TILE_EDGE_PERIODS`):
+  `--periods 2`, a scan of one period, and `--periods 18`, one full tile of
+  16 periods and a partial tile of one, with 1500 trials and `--bins 4`
 - `verify-lemma --samples 10000 --seed S`, again with gamma, band, p0,
   beta and mu moved off their defaults, and at each beta in `LEMMA_BETAS`;
   with the default beta 2 and the moved -0.5 these reach every branch of
@@ -54,6 +57,10 @@ BACKTEST_SETTINGS = {
 LEMMA_BETAS = ("1", "0.5", "0")
 # a montecarlo seed of three 32-bit words
 WIDE_SEED = 2**64 + 5
+# montecarlo --periods values whose scans of periods - 1 rows end at the edges
+# of trade_scan's tiles of kernels.TILE = 16 periods: one row, and one full
+# tile and one row
+TILE_EDGE_PERIODS = (2, 18)
 # invalid settings: each must fail the same way, exit code and stderr
 ERROR_CALLS = [
     ("verify-lemma", ["--seed", "-1"]),
@@ -109,6 +116,11 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
                                      "--leverage", "2.5", "--seed", str(seed)]))
     out.append(("montecarlo-wide-seed", ["montecarlo", "--seed", str(WIDE_SEED), "--trials",
                                          "1500", "--periods", "40"]))
+    out.append(("montecarlo-periods2", ["montecarlo", "--periods", str(TILE_EDGE_PERIODS[0]),
+                                        "--seed", str(seed)]))
+    out.append(("montecarlo-partial-tile", ["montecarlo", "--periods", str(TILE_EDGE_PERIODS[1]),
+                                            "--trials", "1500", "--bins", "4",
+                                            "--seed", str(seed)]))
     out.append(("lemma", ["verify-lemma", "--samples", "10000", "--seed", str(seed)]))
     out.append(("lemma-moved", ["verify-lemma", "--gamma", "0.1", "--band", "0.5", "--p0", "40",
                                 "80", "--beta", "-0.5", "--mu", "0.3", "--seed", str(seed)]))

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import DomainError, LengthError, PriceSeries
+from .domain import DomainError, LengthError, PriceSeries, check_number, finite
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig, estimate_eta, estimate_gamma
 from .spread import SpreadModel, fit_cointegration, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
@@ -47,17 +47,19 @@ class BacktestConfig:
             raise DomainError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got {self.threshold_mode!r}"
             )
-        if not (math.isfinite(self.leverage) and self.leverage > 0.0):
+        for name in ("leverage", "initial_value", "gamma_override", "gamma_floor"):
+            check_number(name, getattr(self, name))
+        if not (finite(self.leverage) and self.leverage > 0.0):
             raise DomainError(f"leverage must be finite and positive, got {self.leverage!r}")
-        if not (math.isfinite(self.initial_value) and self.initial_value > 0.0):
+        if not (finite(self.initial_value) and self.initial_value > 0.0):
             raise DomainError(
                 f"initial_value must be finite and positive, got {self.initial_value!r}"
             )
         if self.gamma_override is not None and not (
-            math.isfinite(self.gamma_override) and 0.0 < self.gamma_override < 1.0
+            finite(self.gamma_override) and 0.0 < self.gamma_override < 1.0
         ):
             raise DomainError(f"gamma_override must lie in (0, 1), got {self.gamma_override!r}")
-        if not (math.isfinite(self.gamma_floor) and self.gamma_floor > 0.0):
+        if not (finite(self.gamma_floor) and self.gamma_floor > 0.0):
             raise DomainError(f"gamma_floor must be finite and positive, got {self.gamma_floor!r}")
 
 

@@ -38,6 +38,13 @@ def finite(x) -> bool:
         return False
 
 
+def check_number(name: str, x) -> None:
+    """Reject a bool (Python's or numpy's), which math and numpy would take
+    as 0 or 1."""
+    if np.asarray(x).dtype == bool:
+        raise DomainError(f"{name} must be a number, got {x!r}")
+
+
 def _require_finite_positive(name: str, x: float) -> None:
     ok = type(x) is not bool and isinstance(x, (int, float)) and finite(x) and x > 0.0
     if not ok:

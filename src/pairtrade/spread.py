@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, all_floats, finite
+from .domain import DomainError, LengthError, all_floats, check_number, finite
 
 
 # relative displacements of the generic curvature bound's coarse xi mesh: 41
@@ -168,8 +168,7 @@ class CointegrationSpread(SpreadModel):
     def __post_init__(self) -> None:
         for name, x in (("beta", self.beta), ("mu", self.mu)):
             if np.ndim(x) == 0:
-                if np.asarray(x).dtype == bool:
-                    raise DomainError(f"{name} must be a number, got {x!r}")
+                check_number(name, x)
                 if not finite(x):
                     raise DomainError(f"{name} must be finite, got {x!r}")
                 object.__setattr__(self, name, float(x))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .domain import DomainError, LengthError, PricePoint, PriceSeries, finite
+from .domain import DomainError, LengthError, PricePoint, PriceSeries, check_number, finite
 from .spread import CointegrationSpread, SpreadModel, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
@@ -79,9 +79,7 @@ class OUPairSpec:
 
     def __post_init__(self) -> None:
         for name in ("theta", "sigma_s", "sigma_w", "beta_true", "mu_true", "gamma_cap", "s0"):
-            x = getattr(self, name)
-            if np.asarray(x).dtype == bool:
-                raise DomainError(f"{name} must be a number, got {x!r}")
+            check_number(name, getattr(self, name))
         if not (finite(self.theta) and 0.0 < self.theta < 1.0):
             raise DomainError(f"theta must lie in (0, 1), got {self.theta!r}")
         for name, x in (("sigma_s", self.sigma_s), ("sigma_w", self.sigma_w)):
@@ -449,10 +447,10 @@ def verify_theorem(
     if mode not in THRESHOLD_MODES:
         raise DomainError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
     for name, x in (("leverage", leverage), ("initial_value", initial_value)):
-        if not (math.isfinite(x) and x > 0.0):
+        check_number(name, x)
+        if not (finite(x) and x > 0.0):
             raise DomainError(f"{name} must be finite and positive, got {x!r}")
-    if not (isinstance(collect_bins, int) and collect_bins >= 0):
-        raise DomainError(f"collect_bins must be a non-negative integer, got {collect_bins!r}")
+    _check_count("collect_bins", collect_bins, 0, DomainError)
     eta = spec.theta if eta_assumed is None else eta_assumed
     gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
 
@@ -556,11 +554,12 @@ def verify_lemma(
     at eta = 1. The four box corners of each point are always checked
     alongside the random draw.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
+    _check_count("samples", samples, 1, DomainError)
+    check_number("gamma", gamma)
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
-    if not (math.isfinite(band) and band > 0.0):
+    check_number("band", band)
+    if not (finite(band) and band > 0.0):
         raise DomainError(f"band must be finite and positive, got {band!r}")
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

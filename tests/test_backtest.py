@@ -542,3 +542,15 @@ class TestConfigValidation:
     def test_gamma_floor(self):
         with pytest.raises(DomainError):
             BacktestConfig(gamma_floor=0.0)
+
+    @pytest.mark.parametrize("name", ["leverage", "initial_value", "gamma_override", "gamma_floor"])
+    def test_huge_int_rejected(self, name):
+        # math.isfinite raised OverflowError on an int beyond the float range
+        with pytest.raises(DomainError, match=name):
+            BacktestConfig(**{name: 10**400})
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("name", ["leverage", "initial_value", "gamma_override", "gamma_floor"])
+    def test_bool_rejected(self, name, flag):
+        with pytest.raises(DomainError, match=f"{name} must be a number"):
+            BacktestConfig(**{name: flag})

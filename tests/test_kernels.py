@@ -172,3 +172,92 @@ class TestTradeScan:
         p1, p2, s = _block(50)
         with pytest.raises(StationaryPointError):
             _scan(Flat(2.0, 0.0), p1, p2, s, tau, 1.0, 10_000.0)
+
+
+def _allocate_loop(model, p1, p2, s, tau, lev, v0):
+    """The threshold rule through trading.allocate, path by path and period
+    by period: (dv, sabs) of every traded period, path after path, and the
+    plane of every period's profit, traded or not, with holdings
+    -lam sign(s) g and sign(0) = -1."""
+    from pairtrade.trading import allocate
+
+    taus = np.broadcast_to(tau, s[:-1].shape)
+    plane = np.empty(s[:-1].shape)
+    dvs, sabs = [], []
+    for j in range(p1.shape[1]):
+        value = v0
+        for k in range(len(p1) - 1):
+            a, b, sk = float(p1[k, j]), float(p2[k, j]), float(s[k, j])
+            g1, g2 = (float(g) for g in model.gradient(a, b))
+            da, db = float(p1[k + 1, j]) - a, float(p2[k + 1, j]) - b
+            lam = lev * value / (abs(g1) * a + abs(g2) * b)
+            sgn = 1.0 if sk > 0.0 else -1.0
+            plane[k, j] = -lam * sgn * g1 * da + -lam * sgn * g2 * db
+            tau_k = float(taus[k, j])
+            n1, n2 = allocate(g1, g2, a, b, sk, tau_k, value, lev)
+            if abs(sk) > tau_k:
+                step = n1 * da + n2 * db
+                dvs.append(step)
+                sabs.append(abs(sk))
+                value += step
+    return np.array(dvs), np.array(sabs), plane
+
+
+TILE = kernels.TILE
+
+
+class TestTradeScanTiles:
+    """Blocks of every length around the tile edges: one period, a lone
+    partial tile, exactly one tile, one and two periods past it, and three
+    full tiles and a partial one."""
+
+    @pytest.mark.parametrize("periods", [2, TILE, TILE + 1, TILE + 2, 3 * TILE + 5])
+    @pytest.mark.parametrize("paths", [1, 3])
+    @pytest.mark.parametrize("model", [LOG_LINEAR, RatioSpread()], ids=["log-linear", "ratio"])
+    @pytest.mark.parametrize("per_period_tau", [False, True], ids=["tau", "tau-column"])
+    def test_matches_reference_loop(self, periods, paths, model, per_period_tau):
+        p1, p2, s = _block(periods - 1, paths=paths)
+        tau = np.linspace(0.0, 0.02, periods - 1)[:, None] if per_period_tau else 0.00625
+        planes = np.full((2, periods - 1, paths), np.nan)
+        dv, sabs = _scan(model, p1, p2, s, tau, 2.5, 10_000.0, out=tuple(planes))
+        expect_dv, expect_sabs, expect_plane = _allocate_loop(
+            model, p1, p2, s, tau, 2.5, 10_000.0
+        )
+        assert dv.size > 0 or periods == 2
+        assert np.array_equal(dv, expect_dv)
+        assert np.array_equal(sabs, expect_sabs)
+        # row 0 has s = 0 on every path: never traded, sign(0) = -1
+        assert np.array_equal(planes[1], expect_plane)
+
+    @pytest.mark.parametrize("periods", [2, TILE + 1, TILE + 2, 3 * TILE + 5])
+    def test_one_gradient_call_per_tile(self, periods):
+        calls = []
+
+        class Counting(CointegrationSpread):
+            def gradient(self, p1, p2):
+                calls.append(np.shape(p1))
+                return super().gradient(p1, p2)
+
+        p1, p2, s = _block(periods - 1, paths=3)
+        _scan(Counting(2.0, 0.0), p1, p2, s, 0.00625, 1.0, 10_000.0)
+        rows = [min(TILE, periods - 1 - k0) for k0 in range(0, periods - 1, TILE)]
+        assert calls == [(r, 3) for r in rows]
+
+    def test_stationary_point_on_an_untraded_period(self):
+        # the gradient vanishes at one untraded point of path 2 in the third
+        # tile, and again later on path 0: the first one is named, although
+        # the masked-out NaN profit reaches path 2's account value
+        k = 2 * TILE + 3
+        flat = 77.0
+
+        class FlatAt(CointegrationSpread):
+            def gradient(self, p1, p2):
+                g1, g2 = super().gradient(p1, p2)
+                at = np.asarray(p1) == flat
+                return np.where(at, 0.0, g1), np.where(at, 0.0, g2)
+
+        p1, p2, s = _block(3 * TILE + 4, paths=3)
+        p1[k, 2] = p1[k + 5, 0] = flat
+        s[k, 2] = 0.0
+        with pytest.raises(StationaryPointError, match=rf"period {k} of path 2$"):
+            _scan(FlatAt(2.0, 0.0), p1, p2, s, 0.00625, 1.0, 10_000.0)

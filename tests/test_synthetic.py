@@ -335,6 +335,22 @@ class TestVerifyTheorem:
         with pytest.raises(DomainError, match="must be an integer"):
             verify_theorem(make_spec(), **{"trials": 5, "periods": 50, **kw})
 
+    @pytest.mark.parametrize("name", ["leverage", "initial_value"])
+    @pytest.mark.parametrize("x, match", [
+        (10**400, "must be finite and positive"),
+        (True, "must be a number"),
+        (np.True_, "must be a number"),
+    ], ids=["huge-int", "bool", "numpy-bool"])
+    def test_leverage_and_value_domain(self, name, x, match):
+        # an int beyond the float range raised OverflowError; a bool was 1.0
+        with pytest.raises(DomainError, match=f"{name} {match}"):
+            verify_theorem(make_spec(), trials=5, periods=50, **{name: x})
+
+    @pytest.mark.parametrize("collect_bins", [True, 2.0, -1])
+    def test_collect_bins_domain(self, collect_bins):
+        with pytest.raises(DomainError, match="collect_bins must be"):
+            verify_theorem(make_spec(), trials=5, periods=50, collect_bins=collect_bins)
+
     @pytest.mark.parametrize("collect_bins", [0, 4])
     def test_memory_is_one_arena(self, monkeypatch, collect_bins):
         # a 4-chunk run's traced peak is its arena of five (periods,
@@ -506,6 +522,19 @@ class TestVerifyLemma:
     def test_argument_domain(self, kw):
         with pytest.raises(DomainError):
             verify_lemma(LOG_LINEAR, P0, 0.05, samples=10, **kw)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(samples=2.5), "samples must be an integer"),
+        (dict(samples=True), "samples must be an integer"),
+        (dict(samples=0), "samples must be at least 1"),
+        (dict(band=True), "band must be a number"),
+        (dict(band=10**400), "band must be finite and positive"),
+        (dict(gamma=True), "gamma must be a number"),
+        (dict(gamma=np.False_), "gamma must be a number"),
+    ])
+    def test_argument_types(self, kw, match):
+        with pytest.raises(DomainError, match=match):
+            verify_lemma(LOG_LINEAR, P0, **{"gamma": 0.05, "samples": 10, **kw})
 
     def test_ratio_spread_bound_holds(self):
         # S = p2/p1 - 0.5: the Hessian's magnitude is monotone over the box
