@@ -25,6 +25,13 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   beta and mu moved off their defaults, and at each beta in `LEMMA_BETAS`;
   with the default beta 2 and the moved -0.5 these reach every branch of
   the log-linear curvature bound's c = max(beta, 1) + max(-beta, 0)
+- `backtest` on `quoted.csv`, the first `CHUNK_INPUT_ROWS` rows of the
+  `backtest` pair with ",x" appended to every date, so that both writers
+  quote them, and blank lines at a chunk edge of ingest and after every
+  1000th row
+- failing `backtest` calls on the bad CSVs of `write_bad_inputs`: a bad
+  number in the second chunk of `READ_CHUNK` records, a date out of order
+  at that chunk's first row, a row of wrong arity and an empty file
 - the invalid settings in `ERROR_CALLS`, which must fail alike
 
 It lists every exit code, stdout, stderr and output file whose bytes differ
@@ -61,6 +68,12 @@ WIDE_SEED = 2**64 + 5
 # of trade_scan's tiles of kernels.TILE = 16 periods: one row, and one full
 # tile and one row
 TILE_EDGE_PERIODS = (2, 18)
+# pairtrade.ingest.READ_CHUNK, data records parsed per pass of load_csv, and
+# pairtrade.backtest.WRITE_CHUNK, rows formatted per write call
+READ_CHUNK = 512
+WRITE_CHUNK = 4096
+# rows of quoted.csv: its ledger and plot have more than WRITE_CHUNK rows
+CHUNK_INPUT_ROWS = WRITE_CHUNK + 140
 # invalid settings: each must fail the same way, exit code and stderr
 ERROR_CALLS = [
     ("verify-lemma", ["--seed", "-1"]),
@@ -95,6 +108,46 @@ def write_flat_p1(source: Path, path: Path, rows: int = 300) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_quoted(source: Path, path: Path) -> None:
+    """The first CHUNK_INPUT_ROWS rows of a date,p1,p2 CSV with ",x" appended
+    to every date, quoted, and blank lines: five across ingest's first chunk
+    edge and one after every 1000th row."""
+    lines = source.read_text(encoding="utf-8").splitlines()[: CHUNK_INPUT_ROWS + 1]
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        date, rest = line.split(",", 1)
+        out.append(f'"{date},x",{rest}')
+        if i == READ_CHUNK - 3:
+            out.extend([""] * 5)
+        elif i % 1000 == 999:
+            out.append("")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def write_bad_inputs(source: Path, data: Path) -> list[Path]:
+    """CSVs that load_csv must reject, made from the first READ_CHUNK + 100
+    rows of a date,p1,p2 CSV, which reach into the second chunk."""
+    lines = source.read_text(encoding="utf-8").splitlines()[: READ_CHUNK + 101]
+    bad = {}
+    number = list(lines)
+    date, p1, p2 = number[READ_CHUNK + 50].split(",")
+    number[READ_CHUNK + 50] = f"{date},{p1},1.0x"
+    bad["bad-number"] = number
+    order = list(lines)
+    # data row READ_CHUNK, the first of the second chunk, repeats the date before it
+    date = order[READ_CHUNK].split(",")[0]
+    order[READ_CHUNK + 1] = ",".join([date, *order[READ_CHUNK + 1].split(",")[1:]])
+    bad["bad-order"] = order
+    bad["bad-arity"] = [*lines, lines[-1].rsplit(",", 1)[0]]
+    bad["bad-empty"] = []
+    paths = []
+    for stem, rows in bad.items():
+        path = data / f"{stem}.csv"
+        path.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every call for one seed; a backtest writes to out/<name>."""
     inputs = load_inputs()
@@ -127,6 +180,11 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     for beta in LEMMA_BETAS:
         out.append((f"lemma-beta{beta}", ["verify-lemma", "--samples", "10000", "--beta", beta,
                                           "--seed", str(seed)]))
+    quoted = data / "quoted.csv"
+    write_quoted(backtest, quoted)
+    out.append((quoted.stem, ["backtest", "--input", str(quoted), "--out-dir", f"out/{quoted.stem}"]))
+    for path in write_bad_inputs(backtest, data):
+        out.append((path.stem, ["backtest", "--input", str(path), "--out-dir", f"out/{path.stem}"]))
     for command, bad in ERROR_CALLS:
         out.append((f"{command} {' '.join(bad)}", [command, *bad]))
     return out

@@ -262,10 +262,12 @@ def run_backtest(
     return ledger, report
 
 
-# one %-format per CSV row; dates go through _csv_field
+# %-formats of one CSV row; dates go through _csv_field
 _LEDGER_ROW = "%d,%s," + ",".join(["%.10g"] * (len(LEDGER_COLUMNS) - 3)) + ",%d\n"
 _PLOT_ROW = "%d,%s,%.10g,%.10g,%.10g\n"
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
+# rows formatted per write call
+WRITE_CHUNK = 4096
 
 
 def _csv_field(text: str) -> str:
@@ -278,14 +280,29 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _write_rows(fh, row: str, columns: list) -> None:
+    """Write one row per index of the columns, each a numpy array or a tuple
+    of date labels: one %-format call per WRITE_CHUNK rows."""
+    width = len(columns)
+    rows = len(columns[0])
+    for i in range(0, rows, WRITE_CHUNK):
+        j = min(i + WRITE_CHUNK, rows)
+        flat = [None] * ((j - i) * width)
+        for c, col in enumerate(columns):
+            if isinstance(col, tuple):
+                col = col[i:j]
+                flat[c::width] = map(_csv_field, col) if _NEEDS_QUOTES("".join(col)) else col
+            else:
+                flat[c::width] = col[i:j].tolist()
+        fh.write((row * (j - i)) % tuple(flat))
+
+
 def write_ledger_csv(ledger: Ledger, path) -> None:
     """Ledger CSV with one row per backtest period, floats at 10 significant
     digits, active as 0/1."""
-    columns = [getattr(ledger, name).tolist() for name in LEDGER_COLUMNS if name != "date"]
-    columns.insert(1, [_csv_field(d) for d in ledger.date])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        fh.writelines(_LEDGER_ROW % row for row in zip(*columns))
+        _write_rows(fh, _LEDGER_ROW, [getattr(ledger, name) for name in LEDGER_COLUMNS])
 
 
 def write_report_json(report: BacktestReport, path, extra: dict | None = None) -> None:
@@ -301,14 +318,14 @@ def write_report_json(report: BacktestReport, path, extra: dict | None = None) -
 def write_plot_csv(path, series: PriceSeries, ledger: Ledger, initial_value: float) -> None:
     """Per-period value paths of the strategy and both buy-and-holds, over
     the whole series (strategy value is flat before the first decision)."""
-    bh1 = buy_and_hold(series, 1, initial_value)
-    bh2 = buy_and_hold(series, 2, initial_value)
     first = int(ledger.k[0]) if len(ledger) else len(series)
-    values = [initial_value] * first + ledger.value.tolist()
-    dates = [_csv_field(d) for d in series.dates]
+    columns = [
+        np.arange(len(series)),
+        series.dates,
+        np.concatenate((np.full(first, initial_value), ledger.value)),
+        buy_and_hold(series, 1, initial_value),
+        buy_and_hold(series, 2, initial_value),
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,date,value,buyhold_1,buyhold_2\n")
-        fh.writelines(
-            _PLOT_ROW % row
-            for row in zip(range(len(series)), dates, values, bh1.tolist(), bh2.tolist())
-        )
+        _write_rows(fh, _PLOT_ROW, columns)

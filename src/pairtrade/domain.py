@@ -8,6 +8,7 @@ always > -1 for positive prices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ class PriceSeries:
     __slots__ = ("dates", "p1", "p2")
 
     def __init__(self, dates, p1, p2) -> None:
-        dates = tuple(str(d) for d in dates)
+        dates = tuple(map(str, dates))
         p1 = np.asarray(p1, dtype=float).copy()
         p2 = np.asarray(p2, dtype=float).copy()
         if p1.ndim != 1 or p2.ndim != 1:
@@ -88,11 +89,11 @@ class PriceSeries:
             if not np.all(np.isfinite(arr) & (arr > 0.0)):
                 bad = int(np.argmin(np.isfinite(arr) & (arr > 0.0)))
                 raise DomainError(f"{name}[{bad}] = {arr[bad]!r} is not a finite positive price")
-        for i in range(1, len(dates)):
-            if not dates[i - 1] < dates[i]:
-                raise DomainError(
-                    f"dates must be strictly increasing, got {dates[i - 1]!r} before {dates[i]!r}"
-                )
+        if not all(map(operator.lt, dates, dates[1:])):
+            i = next(i for i in range(1, len(dates)) if not dates[i - 1] < dates[i])
+            raise DomainError(
+                f"dates must be strictly increasing, got {dates[i - 1]!r} before {dates[i]!r}"
+            )
         p1.flags.writeable = False
         p2.flags.writeable = False
         object.__setattr__(self, "dates", dates)

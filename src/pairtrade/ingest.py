@@ -11,10 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .domain import DomainError, PriceSeries
 
 EXPECTED_HEADER = ("date", "p1", "p2")
+# data records parsed per pass of load_csv: a chunk's record lists stay
+# below the garbage collector's default threshold of 700 new containers, so
+# reading a chunk starts no collection
+READ_CHUNK = 512
 
 
 class FormatError(ValueError):
@@ -56,20 +61,65 @@ class AdjustmentRule:
             raise DomainError(f"factor must be finite and positive, got {self.factor!r}")
 
 
+def _read_header(reader) -> None:
+    """Consume the header record; FormatError unless it is date,p1,p2."""
+    header = next(reader, None)
+    if header is None:
+        raise FormatError("empty file")
+    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
+        raise FormatError(
+            f"expected header {','.join(EXPECTED_HEADER)!r}, got {','.join(header)!r}"
+        )
+
+
 def load_csv(path) -> PriceSeries:
     """Parse a price CSV; raises FormatError / RowError / OrderingError.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write it, is skipped.
     """
+    series = _load_columns(path)
+    # on any fault, a row-by-row read raises the first one in file order
+    return series if series is not None else _load_rows(path)
+
+
+def _load_columns(path) -> PriceSeries | None:
+    """The series of a well-formed file, else None: records are split into
+    columns READ_CHUNK at a time, and the columns are checked whole."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError("empty file")
-        if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-            raise FormatError(
-                f"expected header {','.join(EXPECTED_HEADER)!r}, got {','.join(header)!r}"
-            )
+        _read_header(reader)
+        dates: list[str] = []
+        p1: list[float] = []
+        p2: list[float] = []
+        try:
+            for rows in iter(lambda: list(islice(reader, READ_CHUNK)), []):
+                rows = list(filter(None, rows))  # drop blank lines
+                if not rows:
+                    continue
+                if set(map(len, rows)) != {3}:
+                    return None
+                d, a, b = zip(*rows)
+                dates.extend(map(str.strip, d))
+                p1.extend(map(float, a))
+                p2.extend(map(float, b))
+        except (ValueError, csv.Error):
+            return None
+    if not dates:
+        raise FormatError("no data rows")
+    if not all(dates):
+        return None
+    try:
+        # checks that the prices are finite and positive and the dates increase
+        return PriceSeries(dates, p1, p2)
+    except DomainError:
+        return None
+
+
+def _load_rows(path) -> PriceSeries:
+    """load_csv one row at a time, checking each row as it is read."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        _read_header(reader)
         dates: list[str] = []
         p1: list[float] = []
         p2: list[float] = []

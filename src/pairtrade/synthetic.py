@@ -453,6 +453,10 @@ def verify_theorem(
     _check_count("collect_bins", collect_bins, 0, DomainError)
     eta = spec.theta if eta_assumed is None else eta_assumed
     gamma = spec.gamma_cap if gamma_assumed is None else gamma_assumed
+    for name, x in (("eta_assumed", eta), ("gamma_assumed", gamma)):
+        check_number(name, x)
+        if not finite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
 
     model = CointegrationSpread(spec.beta_true, spec.mu_true)
     tau_e = threshold_exact(model, spec.p0.p1, spec.p0.p2, gamma, eta)

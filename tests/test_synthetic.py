@@ -414,6 +414,16 @@ class TestVerifyTheorem:
         with pytest.raises(DomainError):
             verify_theorem(make_spec(), trials=50, periods=100, **kw)
 
+    @pytest.mark.parametrize("kw, match", [
+        # True ran as 1.0; the huge ints raised OverflowError in the thresholds
+        (dict(eta_assumed=True), "eta_assumed must be a number"),
+        (dict(eta_assumed=10**400), "eta_assumed must be finite"),
+        (dict(gamma_assumed=10**400), "gamma_assumed must be finite"),
+    ])
+    def test_assumed_argument_types(self, kw, match):
+        with pytest.raises(DomainError, match=match):
+            verify_theorem(make_spec(), trials=50, periods=100, **kw)
+
 
 class TestOneSidedP:
     # df = count - 1 covers 1, 2, 3, 7, 30, 251, 1e4, 1342194 and 1e7
