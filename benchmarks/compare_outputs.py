@@ -32,7 +32,12 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
 - failing `backtest` calls on the bad CSVs of `write_bad_inputs`: a bad
   number in the second chunk of `READ_CHUNK` records, a date out of order
   at that chunk's first row, a row of wrong arity and an empty file
-- the invalid settings in `ERROR_CALLS`, which must fail alike
+- the invalid settings in `ERROR_CALLS`, which must fail alike: `backtest`
+  on the `backtest` pair with a window too short, a bad adjustment, a zero
+  gamma floor, an infinite initial value and a gamma of 1, alone and with a
+  zero gamma floor, which pins the order of the checks; `montecarlo` with
+  each generator parameter out of its domain, and two at once; and
+  `verify-lemma` with each of its own settings out of its domain
 
 It lists every exit code, stdout, stderr and output file whose bytes differ
 between the trees, and exits 1 if anything differs. Giving the same tree
@@ -74,17 +79,32 @@ READ_CHUNK = 512
 WRITE_CHUNK = 4096
 # rows of quoted.csv: its ledger and plot have more than WRITE_CHUNK rows
 CHUNK_INPUT_ROWS = WRITE_CHUNK + 140
-# invalid settings: each must fail the same way, exit code and stderr
+# invalid settings: each must fail the same way, exit code and stderr; a
+# backtest call runs on the backtest pair
 ERROR_CALLS = [
+    ("backtest", ["--train-len", "2"]),
+    ("backtest", ["--trade-len", "0"]),
+    ("backtest", ["--adjust", "1:-1:2"]),
+    ("backtest", ["--gamma-floor", "0"]),
+    ("backtest", ["--initial-value", "inf"]),
+    ("backtest", ["--gamma", "1"]),
+    ("backtest", ["--gamma", "1", "--gamma-floor", "0"]),
     ("verify-lemma", ["--seed", "-1"]),
     ("verify-lemma", ["--p0", "0", "50"]),
     ("verify-lemma", ["--gamma", "1"]),
     ("verify-lemma", ["--band", "0"]),
     ("verify-lemma", ["--samples", "0"]),
     ("verify-lemma", ["--beta", "nan"]),
+    ("verify-lemma", ["--mu", "inf"]),
     ("montecarlo", ["--leverage", "0"]),
     ("montecarlo", ["--trials", "0"]),
     ("montecarlo", ["--seed", "-1"]),
+    ("montecarlo", ["--theta", "1"]),
+    ("montecarlo", ["--sigma-s", "-0.1"]),
+    ("montecarlo", ["--gamma-cap", "1"]),
+    ("montecarlo", ["--s0", "nan"]),
+    ("montecarlo", ["--beta", "inf"]),
+    ("montecarlo", ["--sigma-s", "-1", "--gamma-cap", "1"]),
 ]
 
 
@@ -186,7 +206,9 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     for path in write_bad_inputs(backtest, data):
         out.append((path.stem, ["backtest", "--input", str(path), "--out-dir", f"out/{path.stem}"]))
     for command, bad in ERROR_CALLS:
-        out.append((f"{command} {' '.join(bad)}", [command, *bad]))
+        name = f"{command} {' '.join(bad)}"
+        pair = ["--input", str(backtest), "--out-dir", f"out/{name}"] if command == "backtest" else []
+        out.append((name, [command, *pair, *bad]))
     return out
 
 

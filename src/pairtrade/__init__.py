@@ -39,6 +39,7 @@ from .ingest import (
     apply_adjustments,
     load_csv,
 )
+from .seeding import trial_generators
 from .spread import (
     CointegrationSpread,
     SpreadModel,
@@ -53,7 +54,6 @@ from .synthetic import (
     OUPairSpec,
     TheoremSummary,
     generate_pair,
-    trial_generators,
     verify_lemma,
     verify_theorem,
 )

@@ -22,7 +22,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import DomainError, LengthError, PriceSeries, check_number, finite
+from .domain import (
+    DomainError, LengthError, PriceSeries, check_fraction, check_number, check_positive,
+)
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig, estimate_eta, estimate_gamma
 from .spread import SpreadModel, fit_cointegration, spread_gradient, spread_value
 from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
@@ -47,20 +49,11 @@ class BacktestConfig:
             raise DomainError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got {self.threshold_mode!r}"
             )
-        for name in ("leverage", "initial_value", "gamma_override", "gamma_floor"):
-            check_number(name, getattr(self, name))
-        if not (finite(self.leverage) and self.leverage > 0.0):
-            raise DomainError(f"leverage must be finite and positive, got {self.leverage!r}")
-        if not (finite(self.initial_value) and self.initial_value > 0.0):
-            raise DomainError(
-                f"initial_value must be finite and positive, got {self.initial_value!r}"
-            )
-        if self.gamma_override is not None and not (
-            finite(self.gamma_override) and 0.0 < self.gamma_override < 1.0
-        ):
-            raise DomainError(f"gamma_override must lie in (0, 1), got {self.gamma_override!r}")
-        if not (finite(self.gamma_floor) and self.gamma_floor > 0.0):
-            raise DomainError(f"gamma_floor must be finite and positive, got {self.gamma_floor!r}")
+        check_positive("leverage", self.leverage)
+        check_positive("initial_value", self.initial_value)
+        if self.gamma_override is not None:
+            check_fraction("gamma_override", self.gamma_override)
+        check_positive("gamma_floor", self.gamma_floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +103,10 @@ class BacktestReport:
 
 def buy_and_hold(series: PriceSeries, which: int, initial: float) -> np.ndarray:
     """Value path of holding initial dollars of price `which` (1 or 2)."""
+    check_number("which", which)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which!r}")
-    if not (math.isfinite(initial) and initial > 0.0):
-        raise DomainError(f"initial must be finite and positive, got {initial!r}")
+    check_positive("initial", initial)
     prices = series.p1 if which == 1 else series.p2
     return initial * (prices / prices[0])
 

@@ -34,11 +34,11 @@ from .backtest import (
     write_plot_csv,
     write_report_json,
 )
-from .domain import DomainError, PricePoint
+from .domain import DomainError, PricePoint, check_seed
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig
 from .ingest import AdjustmentRule, apply_adjustments, load_csv
 from .spread import CointegrationSpread
-from .synthetic import OUPairSpec, check_seed, verify_lemma, verify_theorem
+from .synthetic import OUPairSpec, verify_lemma, verify_theorem
 from .trading import THRESHOLD_MODES
 
 EXIT_OK = 0

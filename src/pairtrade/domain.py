@@ -1,4 +1,5 @@
-"""Core value types shared by every other module.
+"""Core value types shared by every other module, and the checks of scalar
+arguments that every public entry point uses.
 
 Prices are strictly positive reals. A price path is a date-labelled pair of
 price arrays. Per-period relative returns X_i(k) = p_i(k+1)/p_i(k) - 1 are
@@ -46,10 +47,39 @@ def check_number(name: str, x) -> None:
         raise DomainError(f"{name} must be a number, got {x!r}")
 
 
-def _require_finite_positive(name: str, x: float) -> None:
-    ok = type(x) is not bool and isinstance(x, (int, float)) and finite(x) and x > 0.0
-    if not ok:
-        raise DomainError(f"{name} must be a finite positive number, got {x!r}")
+def check_finite(name: str, x) -> None:
+    """Reject a bool and a number that is not finite."""
+    check_number(name, x)
+    if not finite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+
+
+def check_positive(name: str, x) -> None:
+    """Reject a bool and anything but a finite number > 0."""
+    check_number(name, x)
+    if not (finite(x) and x > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {x!r}")
+
+
+def check_fraction(name: str, x) -> None:
+    """Reject a bool and anything outside the open interval (0, 1)."""
+    check_number(name, x)
+    if not (finite(x) and 0.0 < x < 1.0):
+        raise DomainError(f"{name} must lie in (0, 1), got {x!r}")
+
+
+def check_count(name: str, n, least: int, error: type[ValueError] = DomainError) -> None:
+    """Reject anything but an int (not a bool) of at least least."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise error(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise error(f"{name} must be at least {least}, got {n}")
+
+
+def check_seed(seed) -> None:
+    """Reject anything but a non-negative int, the seeds SeedSequence takes."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +90,9 @@ class PricePoint:
     p2: float
 
     def __post_init__(self) -> None:
-        _require_finite_positive("p1", self.p1)
-        _require_finite_positive("p2", self.p2)
+        for name, x in (("p1", self.p1), ("p2", self.p2)):
+            if type(x) is bool or not (isinstance(x, (int, float)) and finite(x) and x > 0.0):
+                raise DomainError(f"{name} must be a finite positive number, got {x!r}")
 
 
 class PriceSeries:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError
+from .domain import DomainError, LengthError, check_positive
 
 DEFAULT_GAMMA_FLOOR = 1e-4
 
@@ -31,17 +31,16 @@ class WindowConfig:
     trade_len: int = 5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.train_len, int) and self.train_len >= 3):
-            raise DomainError(f"train_len must be an integer >= 3, got {self.train_len!r}")
-        if not (isinstance(self.trade_len, int) and self.trade_len >= 1):
-            raise DomainError(f"trade_len must be an integer >= 1, got {self.trade_len!r}")
+        for name, least in (("train_len", 3), ("trade_len", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not (isinstance(n, int) and n >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def estimate_gamma(p1, p2, floor: float = DEFAULT_GAMMA_FLOOR) -> np.ndarray:
     """Max absolute relative return over each window of the (..., n) price
     arrays, shaped (...); `floor` only where that max is 0."""
-    if not (math.isfinite(floor) and floor > 0.0):
-        raise DomainError(f"floor must be finite and positive, got {floor!r}")
+    check_positive("floor", floor)
     m = 0.0
     for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)):
         if p.ndim == 0 or p.shape[-1] < 2:

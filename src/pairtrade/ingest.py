@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .domain import DomainError, PriceSeries
+from .domain import DomainError, PriceSeries, check_number, check_positive
 
 EXPECTED_HEADER = ("date", "p1", "p2")
 # data records parsed per pass of load_csv: a chunk's record lists stay
@@ -51,14 +51,13 @@ class AdjustmentRule:
     factor: float
 
     def __post_init__(self) -> None:
+        check_number("stock", self.stock)
         if self.stock not in (1, 2):
             raise DomainError(f"stock must be 1 or 2, got {self.stock!r}")
-        if not (isinstance(self.effective_index, int) and self.effective_index >= 0):
-            raise DomainError(
-                f"effective_index must be a non-negative integer, got {self.effective_index!r}"
-            )
-        if not (math.isfinite(self.factor) and self.factor > 0.0):
-            raise DomainError(f"factor must be finite and positive, got {self.factor!r}")
+        index = self.effective_index
+        if isinstance(index, bool) or not (isinstance(index, int) and index >= 0):
+            raise DomainError(f"effective_index must be a non-negative integer, got {index!r}")
+        check_positive("factor", self.factor)
 
 
 def _read_header(reader) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from .spread import StationaryPointError
 
 # periods per tile of trade_scan's block passes; at 1024 paths (a chunk of
-# synthetic.CHUNK_TRIALS) each of its six tile planes is 128 KB
+# seeding.CHUNK_TRIALS) each of its six tile planes is 128 KB
 TILE = 16
 
 

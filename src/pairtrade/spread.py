@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, LengthError, all_floats, check_number, finite
+from .domain import LengthError, all_floats, check_finite
 
 
 # relative displacements of the generic curvature bound's coarse xi mesh: 41
@@ -168,9 +168,7 @@ class CointegrationSpread(SpreadModel):
     def __post_init__(self) -> None:
         for name, x in (("beta", self.beta), ("mu", self.mu)):
             if np.ndim(x) == 0:
-                check_number(name, x)
-                if not finite(x):
-                    raise DomainError(f"{name} must be finite, got {x!r}")
+                check_finite(name, x)
                 object.__setattr__(self, name, float(x))
 
     def value(self, p1, p2):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pairtrade.backtest import BacktestConfig, buy_and_hold
 from pairtrade.domain import DomainError, LengthError, PricePoint, PriceSeries, return_arrays
+from pairtrade.estimation import WindowConfig, estimate_gamma
+from pairtrade.ingest import AdjustmentRule
+from pairtrade.seeding import trial_generators
+from pairtrade.spread import CointegrationSpread
+from pairtrade.synthetic import OUPairSpec, generate_pair, verify_lemma, verify_theorem
 
 log_prices = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -165,3 +171,70 @@ class TestReturns:
             assert abs(r2 - p2[i + 1]) <= math.expm1(a2) * p2[i + 1]
         if np.all(np.abs(rets) < 0.5):
             assert max(a1, a2) < 1e-12
+
+
+# every public constructor and function that checks a scalar argument, as
+# (owner, argument, call with that argument set to x, values it must reject):
+# a bool of either kind, an int beyond the float range and NaN for a number,
+# the bools and NaN for an integer
+HUGE = 10**400
+NUMBER = (True, np.True_, HUGE, math.nan)
+INTEGER = (True, np.True_, math.nan)
+SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0)
+PRICES = np.array([100.0, 101.0, 99.0])
+
+
+def _theorem(**kw):
+    return verify_theorem(OUPairSpec(**SPEC), **{"trials": 2, "periods": 3, **kw})
+
+
+def _lemma(**kw):
+    return verify_lemma(CointegrationSpread(2.0, 0.0), PricePoint(100.0, 50.0),
+                        **{"gamma": 0.05, "samples": 2, **kw})
+
+
+SCALAR_ARGUMENTS = [
+    ("PricePoint", "p1", lambda x: PricePoint(x, 50.0), NUMBER),
+    ("PricePoint", "p2", lambda x: PricePoint(100.0, x), NUMBER),
+    *[("OUPairSpec", name, lambda x, name=name: OUPairSpec(**{**SPEC, name: x}), NUMBER)
+      for name in ("theta", "sigma_s", "sigma_w", "beta_true", "mu_true", "gamma_cap", "s0")],
+    ("OUPairSpec", "seed", lambda x: OUPairSpec(**SPEC, seed=x), INTEGER),
+    *[("BacktestConfig", name, lambda x, name=name: BacktestConfig(**{name: x}), NUMBER)
+      for name in ("leverage", "initial_value", "gamma_override", "gamma_floor")],
+    *[("WindowConfig", name, lambda x, name=name: WindowConfig(**{name: x}), INTEGER)
+      for name in ("train_len", "trade_len")],
+    ("CointegrationSpread", "beta", lambda x: CointegrationSpread(x, 0.0), NUMBER),
+    ("CointegrationSpread", "mu", lambda x: CointegrationSpread(2.0, x), NUMBER),
+    ("AdjustmentRule", "stock", lambda x: AdjustmentRule(x, 0, 2.0), NUMBER),
+    ("AdjustmentRule", "effective_index", lambda x: AdjustmentRule(1, x, 2.0), INTEGER),
+    ("AdjustmentRule", "factor", lambda x: AdjustmentRule(1, 0, x), NUMBER),
+    ("estimate_gamma", "floor", lambda x: estimate_gamma(PRICES, PRICES, floor=x), NUMBER),
+    ("buy_and_hold", "which",
+     lambda x: buy_and_hold(make_series(PRICES, PRICES), x, 1.0), NUMBER),
+    ("buy_and_hold", "initial",
+     lambda x: buy_and_hold(make_series(PRICES, PRICES), 1, x), NUMBER),
+    *[("verify_theorem", name, lambda x, name=name: _theorem(**{name: x}), INTEGER)
+      for name in ("trials", "periods", "collect_bins")],
+    *[("verify_theorem", name, lambda x, name=name: _theorem(**{name: x}), NUMBER)
+      for name in ("leverage", "initial_value", "eta_assumed", "gamma_assumed")],
+    ("verify_lemma", "samples", lambda x: _lemma(samples=x), INTEGER),
+    ("verify_lemma", "gamma", lambda x: _lemma(gamma=x), NUMBER),
+    ("verify_lemma", "band", lambda x: _lemma(band=x), NUMBER),
+    ("verify_lemma", "seed", lambda x: _lemma(seed=x), INTEGER),
+    ("generate_pair", "length", lambda x: generate_pair(OUPairSpec(**SPEC), x), INTEGER),
+    ("trial_generators", "seed", lambda x: trial_generators(x, 2), INTEGER),
+    ("trial_generators", "trials", lambda x: trial_generators(0, x), INTEGER),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, x",
+    [pytest.param(name, call, x, id=f"{owner}.{name}-{'10**400' if x is HUGE else repr(x)}")
+     for owner, name, call, values in SCALAR_ARGUMENTS for x in values],
+)
+def test_scalar_argument_rejected(name, call, x):
+    # a bool was taken as 0 or 1 and a huge int raised OverflowError at some
+    # of these; each now raises the entry point's own error naming the argument
+    error = LengthError if name == "length" else DomainError
+    with pytest.raises(error, match=f"^{name} must "):
+        call(x)

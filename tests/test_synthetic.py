@@ -26,16 +26,9 @@ from pairtrade import kernels
 from pairtrade.domain import DomainError, LengthError, PricePoint, return_arrays
 from pairtrade.estimation import estimate_eta
 from pairtrade.spread import CointegrationSpread
-from pairtrade.synthetic import (
-    CHUNK_TRIALS,
-    OUPairSpec,
-    _one_sided_p,
-    _pcg64_seeds,
-    generate_pair,
-    trial_generators,
-    verify_lemma,
-    verify_theorem,
-)
+from pairtrade.seeding import CHUNK_TRIALS, _pcg64_seeds, trial_generators
+from pairtrade.stats import _one_sided_p
+from pairtrade.synthetic import OUPairSpec, generate_pair, verify_lemma, verify_theorem
 from spread_models import CosPerturbedSpread, RatioSpread
 
 BASE = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)

@@ -69,3 +69,21 @@ def test_traced_exact_backtest_takes_no_hessian(perfbench, tmp_path):
     assert snap["spread.spread_hessian_calls"] == 0
     assert snap["spread.spread_gradient_calls"] == 1
     assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN
+
+
+def test_traced_montecarlo_finds_the_moved_layers(perfbench):
+    # 1,500 trials are a full chunk of CHUNK_TRIALS and a partial one: the
+    # tracer still finds trial_generators, which synthetic takes from
+    # seeding, and verify_theorem makes one call of each kernel per chunk
+    tracer = perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(["montecarlo", "--trials", "1500", "--periods", "40"]) == 0
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert tracer.absent == []
+    assert snap["synthetic.trial_generators_calls"] == 1
+    assert snap["synthetic.verify_theorem_calls"] == 1
+    assert snap["kernels.trade_scan_calls"] == snap["kernels.ou_recursion_calls"] == 2
