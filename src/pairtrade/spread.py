@@ -17,20 +17,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
 from .domain import LengthError, all_floats, check_finite
-
-
-# relative displacements of the generic curvature bound's coarse xi mesh: 41
-# of them, with -1, 0 and 1 (the box's corners and axes) exactly
-UNIT_GRID = np.linspace(-1.0, 1.0, 41)
-# the refinement mesh: one coarse step either side of the coarse argmax, at a
-# tenth of the coarse spacing
-FINE_GRID = np.linspace(-1.0, 1.0, 21) * (UNIT_GRID[1] - UNIT_GRID[0])
-# mesh points times price points the generic curvature bound evaluates at once
-MESH_CHUNK = 1 << 17
 
 
 class StationaryPointError(RuntimeError):
@@ -46,6 +38,10 @@ class SpreadModel(ABC):
     points. Stationarity is checked pointwise wherever a gradient is
     consumed; a quadrant-wide guarantee is the implementer's responsibility.
     A model fitted on (..., n) windows holds parameters shaped (..., 1).
+    The exact threshold needs curvature_bound: a model either supplies
+    hessian_bounds, from which the generic default takes a sound bound, or
+    overrides curvature_bound with its own; otherwise exact mode raises
+    NotImplementedError and approx mode, which needs only hessian, works.
     """
 
     @abstractmethod
@@ -60,24 +56,30 @@ class SpreadModel(ABC):
     def hessian(self, p1, p2):
         """(h11, h12, h22), the entries of the symmetric Hessian."""
 
+    def hessian_bounds(self, lo1, hi1, lo2, hi2):
+        """((l11, u11), (l12, u12), (l22, u22)), elementwise: each pair holds
+        that Hessian entry, as hessian computes it, at every xi in the cell
+        [lo1, hi1] x [lo2, hi2]. The generic curvature_bound needs this."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement hessian_bounds, "
+                                  "which the generic curvature_bound needs")
+
     def curvature_bound(self, p1, p2, gamma):
         """sup over xi, d in the relative gamma box of |d' H(xi) d|, elementwise.
 
         The box holds every xi and d with |xi_i - p_i| <= gamma p_i and
         |d_i| <= gamma p_i; xi and d range over it independently, as the
-        Taylor remainder of a move inside the box needs. At each xi this
-        takes the exact maximum over d (see _box_max). xi itself is sampled:
-        on the mesh p (1 + gamma UNIT_GRID), which holds the box's corners
-        and axes, and then on a FINE_GRID mesh ten times finer around each
-        point's coarse argmax. Caveat: xi is still sampled on a grid, so a
-        Hessian whose magnitude peaks more sharply than the coarse spacing,
-        or at more than one place, can exceed the bound between grid points.
-        A model that knows its bound in closed form should override this.
-        The mesh goes about MESH_CHUNK mesh-times-price entries at a time.
+        Taylor remainder of a move inside the box needs. This takes the
+        hessian_bounds enclosure over the xi box and the largest _box_max
+        over its 8 corners. For each d, d' H d is linear in the three
+        entries, so its magnitude over the enclosure peaks at a corner, and
+        _box_max is exact over d: the bound is never below the supremum, and
+        is above it only as far as the enclosure is loose.
         """
         p1, p2, gamma = (np.asarray(x, dtype=float) for x in (p1, p2, gamma))
-        _, u1, u2 = _mesh_max(self, p1, p2, gamma, 0.0, 0.0, UNIT_GRID)
-        return _mesh_max(self, p1, p2, gamma, u1, u2, FINE_GRID)[0]
+        a, b = gamma * p1, gamma * p2
+        entries = self.hessian_bounds(p1 - a, p1 + a, p2 - b, p2 + b)
+        corners = (_box_max(h11, h12, h22, a, b) for h11, h12, h22 in product(*entries))
+        return reduce(np.maximum, corners)
 
 
 def spread_value(model: SpreadModel, p1, p2):
@@ -122,38 +124,6 @@ def _box_max(h11, h12, h22, a, b):
     worst = np.abs(h11 * a * a + h22 * b * b) + np.abs(2.0 * h12 * a * b)
     worst = np.maximum(worst, form(a, stationary(-h12 * a, h22, b)))
     return np.maximum(worst, form(stationary(-h12 * b, h11, a), b))
-
-
-def _mesh_max(model, p1, p2, gamma, c1, c2, grid):
-    """(worst, u1, u2): the largest _box_max over xi = p (1 + gamma u) with
-    u = clip(c + grid, -1, 1) on each axis, and the u where it was found.
-
-    The mesh axes lead the price axes, so model parameters shaped like the
-    prices still broadcast; it goes in square chunks of about MESH_CHUNK
-    mesh-times-price entries.
-    """
-    shape = np.broadcast(p1, p2, gamma).shape
-    side = min(len(grid), max(1, math.isqrt(MESH_CHUNK // max(1, math.prod(shape)))))
-    lead = (1,) * len(shape)
-    a, b = gamma * p1, gamma * p2
-    worst = np.zeros(shape)
-    at1 = at2 = np.zeros(shape, dtype=np.intp)
-    for i in range(0, len(grid), side):
-        v1 = np.clip(c1 + grid[i : i + side].reshape(-1, 1, *lead), -1.0, 1.0)
-        for j in range(0, len(grid), side):
-            v2 = np.clip(c2 + grid[j : j + side].reshape(1, -1, *lead), -1.0, 1.0)
-            h11, h12, h22 = spread_hessian(model, p1 + a * v1, p2 + b * v2)
-            cols = v2.shape[1]
-            q = np.broadcast_to(_box_max(h11, h12, h22, a, b), (len(v1), cols, *shape))
-            q = q.reshape(-1, *shape)
-            k = np.argmax(q, axis=0)
-            best = np.take_along_axis(q, k[None], axis=0)[0]
-            moved = best > worst
-            worst = np.maximum(worst, best)
-            # the chunk's mesh points are flattened row-major into k
-            at1 = np.where(moved, i + k // cols, at1)
-            at2 = np.where(moved, j + k % cols, at2)
-    return worst, np.clip(c1 + grid[at1], -1.0, 1.0), np.clip(c2 + grid[at2], -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .domain import DomainError, all_floats
+from .domain import DomainError, all_floats, check_number
 from .spread import SpreadModel, spread_hessian
 
 THRESHOLD_MODES = ("approx", "exact")
@@ -38,14 +38,25 @@ def _check(name: str, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
         raise DomainError(f"{name} must {rule}, got {x[at].item()!r}{where}")
 
 
+def _rate(name: str, x, rule: str, ok) -> np.ndarray:
+    """x as a float array where ok holds; a bool (Python's or numpy's) and an
+    int beyond the float range raise DomainError too."""
+    check_number(name, x)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{name} must {rule}, got {x!r}") from None
+    _check(name, x, ok(x), rule)
+    return x
+
+
 def _as_arrays(p1, p2, gamma, eta) -> tuple:
     """The checked inputs as float arrays; Python floats that pass stay floats."""
     if all_floats(p1, p2, gamma, eta) and 0.0 < gamma < 1.0 and math.isfinite(eta):
         return p1, p2, gamma, eta
-    p1, p2, gamma, eta = (np.asarray(x, dtype=float) for x in (p1, p2, gamma, eta))
-    _check("gamma", gamma, (gamma > 0.0) & (gamma < 1.0), "lie in (0, 1)")
-    _check("eta", eta, np.isfinite(eta), "be finite")
-    return p1, p2, gamma, eta
+    p1, p2 = (np.asarray(x, dtype=float) for x in (p1, p2))
+    gamma = _rate("gamma", gamma, "lie in (0, 1)", lambda g: (g > 0.0) & (g < 1.0))
+    return p1, p2, gamma, _rate("eta", eta, "be finite", np.isfinite)
 
 
 def _per_point(worst, eta):

@@ -14,6 +14,7 @@ from pairtrade.ingest import AdjustmentRule
 from pairtrade.seeding import trial_generators
 from pairtrade.spread import CointegrationSpread
 from pairtrade.synthetic import OUPairSpec, generate_pair, verify_lemma, verify_theorem
+from pairtrade.trading import threshold_approx, threshold_exact
 
 log_prices = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -193,6 +194,11 @@ def _lemma(**kw):
                         **{"gamma": 0.05, "samples": 2, **kw})
 
 
+def _threshold(threshold, **kw):
+    m = CointegrationSpread(2.0, 0.0)
+    return threshold(m, 100.0, 50.0, **{"gamma": 0.05, "eta": 0.1, **kw})
+
+
 SCALAR_ARGUMENTS = [
     ("PricePoint", "p1", lambda x: PricePoint(x, 50.0), NUMBER),
     ("PricePoint", "p2", lambda x: PricePoint(100.0, x), NUMBER),
@@ -224,6 +230,8 @@ SCALAR_ARGUMENTS = [
     ("generate_pair", "length", lambda x: generate_pair(OUPairSpec(**SPEC), x), INTEGER),
     ("trial_generators", "seed", lambda x: trial_generators(x, 2), INTEGER),
     ("trial_generators", "trials", lambda x: trial_generators(0, x), INTEGER),
+    *[(t.__name__, name, lambda x, t=t, name=name: _threshold(t, **{name: x}), NUMBER)
+      for t in (threshold_exact, threshold_approx) for name in ("gamma", "eta")],
 ]
 
 

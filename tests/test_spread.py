@@ -23,6 +23,7 @@ from pairtrade.spread import (
     spread_hessian,
     spread_value,
 )
+from spread_models import CosPerturbedSpread, RatioSpread
 
 log_prices = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 # |beta| floored away from zero: a central difference cannot resolve a
@@ -152,6 +153,29 @@ class _FlatModel(SpreadModel):
     def hessian(self, p1, p2):
         return 0.0, 0.0, 0.0
 
+    def hessian_bounds(self, lo1, hi1, lo2, hi2):
+        return (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)
+
+
+class _LogLinearEnclosure(CointegrationSpread):
+    """The log-linear spread with an enclosure for the generic curvature
+    bound: beta / p1^2 is monotone in p1 and -1 / p2^2 rises in p2. Test
+    double."""
+
+    def hessian_bounds(self, lo1, hi1, lo2, hi2):
+        (e11, _, l22), (f11, _, u22) = self.hessian(lo1, lo2), self.hessian(hi1, hi2)
+        return (np.minimum(e11, f11), np.maximum(e11, f11)), (0.0, 0.0), (l22, u22)
+
+
+ENCLOSED_MODELS = [
+    RatioSpread(),
+    CosPerturbedSpread(),
+    CosPerturbedSpread(beta=-0.5, amplitude=0.3, center=3.0, width=0.7),
+    _LogLinearEnclosure(2.0, 0.1),
+    _LogLinearEnclosure(-0.7, 0.0),
+    _FlatModel(),
+]
+
 
 class TestWrappers:
     def test_spread_value(self):
@@ -199,14 +223,35 @@ class TestHessian:
 class TestCurvatureBound:
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5, 0.0, -1e-12, -0.7, -3.0])
     def test_log_linear_override_matches_generic_default(self, beta):
-        # the generic default's coarse mesh holds the corner xi = p (1 - gamma)
-        # where the log-linear maximum lies, so both agree to rounding
-        m = CointegrationSpread(beta=beta, mu=0.2)
+        # the log-linear maximum lies at the enclosure corner from
+        # xi = p (1 - gamma), so the closed form and the generic default
+        # agree to rounding
+        m = _LogLinearEnclosure(beta=beta, mu=0.2)
         p1 = np.array([100.0, 0.3, 420.0])
         p2 = np.array([50.0, 7.0, 0.05])
         for gamma in (0.001, 0.05, 0.4):
             want = SpreadModel.curvature_bound(m, p1, p2, gamma)
             np.testing.assert_allclose(m.curvature_bound(p1, p2, gamma), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("model", ENCLOSED_MODELS, ids=lambda m: type(m).__name__)
+    @given(
+        st.floats(0.01, 400.0),
+        st.floats(0.01, 400.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_hessian_bounds_hold_the_hessian(self, model, lo1, lo2, w1, w2, t1, t2):
+        # a cell [lo, lo (1 + w)] on each axis and a xi inside it: each
+        # entry the model computes at xi lies within the entry's bounds
+        hi1, hi2 = lo1 * (1.0 + w1), lo2 * (1.0 + w2)
+        xi1 = min(max(lo1 + t1 * (hi1 - lo1), lo1), hi1)
+        xi2 = min(max(lo2 + t2 * (hi2 - lo2), lo2), hi2)
+        bounds = model.hessian_bounds(np.array(lo1), np.array(hi1), np.array(lo2), np.array(hi2))
+        for (low, high), h in zip(bounds, model.hessian(np.array(xi1), np.array(xi2))):
+            assert low <= h <= high
 
     def test_log_linear_broadcasts_to_prices(self):
         # per-window parameters against (windows, rows) prices; NaN where a

@@ -19,14 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrade import spread
 from pairtrade.domain import DomainError
-from pairtrade.spread import CointegrationSpread
+from pairtrade.spread import CointegrationSpread, SpreadModel
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
 from scalar_oracle import threshold_exact_grid
 from spread_models import CosPerturbedSpread, RatioSpread
 
 P = (100.0, 50.0)
+
+
+def _rows(rng):
+    """20k price points as (4000, 5) arrays around P."""
+    return (100.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5))),
+            50.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5))))
 
 
 def closed_form_exact(beta: float, g: float, eta: float) -> float:
@@ -116,11 +121,9 @@ class TestThresholdExact:
     )
     def test_generic_bound_dominates_scans(self, model, p):
         # the generic default against the displaced-point mesh scan, and
-        # against a (xi, d) brute force with xi five times finer than the
-        # coarse mesh (every point of it within one coarse step of the coarse
-        # argmax lies on the refinement mesh) and d on a 21 x 21 grid; the
-        # 1e-13 allows for rounding, since each evaluates the same corner's
-        # xi and quadratic form in another order
+        # against a (xi, d) brute force with xi on a 201 x 201 grid and d on
+        # a 21 x 21 grid; the 1e-13 allows for rounding, since each evaluates
+        # the quadratic form in another order
         gamma = 0.05
         got = threshold_exact(model, *p, gamma, 0.5)
         assert got >= threshold_exact_grid(model, *p, gamma, 0.5) * (1.0 - 1e-13)
@@ -184,13 +187,9 @@ class TestThresholdExact:
             assert got.tolist() == want
 
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
-    @pytest.mark.parametrize("chunk", [None, 500])
-    def test_stacked_windows_match_scalar_calls(self, threshold, chunk, monkeypatch):
+    def test_stacked_windows_match_scalar_calls(self, threshold):
         # one call over (windows, rows) prices, with a parameter set, gamma
-        # and eta per window, equals scalar calls bit for bit; a small
-        # MESH_CHUNK splits the exact mesh into many chunks
-        if chunk is not None:
-            monkeypatch.setattr(spread, "MESH_CHUNK", chunk)
+        # and eta per window, equals scalar calls bit for bit
         rng = np.random.default_rng(4)
         p1 = 100.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
         p2 = 50.0 * np.exp(rng.normal(0.0, 0.3, (30, 7)))
@@ -208,13 +207,11 @@ class TestThresholdExact:
             assert np.isinf(got[eta[:, 0] <= 0.0]).all()
 
     def test_exact_memory_bounded(self):
-        # the log-linear bound is one value per row; the generic default's
-        # mesh goes about MESH_CHUNK = 2**17 mesh-times-price entries at a
-        # time, so 20k rows stay within 8 MiB for either (a whole 41 x 41
-        # mesh at once needs about 0.5 GiB)
+        # the log-linear bound is one value per row, and the generic default
+        # a few row-sized arrays per enclosure corner, so 20k rows stay
+        # within 8 MiB for either
         rng = np.random.default_rng(5)
-        p1 = 100.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
-        p2 = 50.0 * np.exp(rng.normal(0.0, 0.1, (4000, 5)))
+        p1, p2 = _rows(rng)
         for m in (CointegrationSpread(rng.normal(1.5, 0.2, (4000, 1)), np.zeros((4000, 1))),
                   RatioSpread(0.5)):
             tracemalloc.start()
@@ -226,15 +223,45 @@ class TestThresholdExact:
             assert tau.shape == (4000, 5) and np.isfinite(tau).all()
             assert peak < 8 * 2**20
 
+    def test_generic_bound_sound_on_cos_rows(self):
+        # h12 = 0, h11 depends on xi1 only and h22 on xi2 only, so every pair
+        # of an h11 taken on a dense xi1 grid and an h22 at an end of the xi2
+        # range is reached; for H = diag(h11, h22) the largest |d' H d| is
+        # at d = (a, 0), (0, b) or (a, b), and over H at the ranges' ends.
+        # The bound is never below that reached value and at most 8% above
+        m = CosPerturbedSpread()
+        p1, p2 = _rows(np.random.default_rng(5))
+        gamma = 0.05
+        a, b = gamma * p1, gamma * p2
+        h11_lo, h11_hi = np.full(p1.shape, np.inf), np.full(p1.shape, -np.inf)
+        for u in np.linspace(-1.0, 1.0, 2001).tolist():
+            h11 = m.hessian(p1 + a * u, p2)[0]
+            h11_lo, h11_hi = np.minimum(h11_lo, h11), np.maximum(h11_hi, h11)
+        reached = np.zeros(p1.shape)
+        for h11 in (h11_lo, h11_hi):
+            for x2 in (p2 - b, p2 + b):
+                h22 = m.hessian(p1, x2)[2]
+                for q in (h11 * a * a, h22 * b * b, h11 * a * a + h22 * b * b):
+                    reached = np.maximum(reached, np.abs(q))
+        bound = m.curvature_bound(p1, p2, gamma)
+        assert (bound >= reached).all()
+        assert (bound <= 1.08 * reached).all()
+
+    def test_exact_needs_hessian_bounds(self):
+        # a model with neither hessian_bounds nor its own curvature_bound
+        # has no exact threshold; approx needs only the Hessian
+        class HessianOnly(RatioSpread):
+            hessian_bounds = SpreadModel.hessian_bounds
+
+        with pytest.raises(NotImplementedError, match="^HessianOnly does not implement hessian_bounds,"):
+            threshold_exact(HessianOnly(), *P, 0.05, 0.1)
+        want = threshold_approx(RatioSpread(), *P, 0.05, 0.1)
+        assert threshold_approx(HessianOnly(), *P, 0.05, 0.1) == want
+
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
     def test_no_prices(self, threshold):
         m = CointegrationSpread(beta=2.0, mu=0.0)
         assert threshold(m, np.empty((0, 3)), np.empty((0, 3)), 0.05, 0.1).shape == (0, 3)
-
-    def test_unit_grid_holds_corners_and_axes(self):
-        assert {-1.0, 0.0, 1.0} <= set(spread.UNIT_GRID.tolist())
-        # the refinement mesh holds its coarse point, so refining never lowers the bound
-        assert 0.0 in spread.FINE_GRID.tolist()
 
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
     def test_array_rates_validated(self, threshold):
