@@ -19,8 +19,9 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
 - `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
   of entropy, with 1500 trials, so its last chunk of trials is partial
 - `montecarlo` at the tile edges of the trade scan (`TILE_EDGE_PERIODS`):
-  `--periods 2`, a scan of one period, and `--periods 18`, one full tile of
-  16 periods and a partial tile of one, with 1500 trials and `--bins 4`
+  `--periods 2`, a scan of one period, and `--periods` `kernels.TILE` + 2,
+  one full tile and a partial tile of one period, with 1500 trials and
+  `--bins 4`
 - `verify-lemma --samples 10000 --seed S`, again with gamma, band, p0,
   beta and mu moved off their defaults, and at each beta in `LEMMA_BETAS`;
   with the default beta 2 and the moved -0.5 these reach every branch of
@@ -55,6 +56,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the program's own edges, from the pairtrade of this checkout, so that the
+# edge inputs follow a change to them: READ_CHUNK data records parsed per
+# pass of load_csv, WRITE_CHUNK rows formatted per write call and TILE
+# periods per tile of trade_scan
+sys.path.insert(0, str(ROOT / "src"))
+from pairtrade.backtest import WRITE_CHUNK  # noqa: E402
+from pairtrade.ingest import READ_CHUNK  # noqa: E402
+from pairtrade.kernels import TILE  # noqa: E402
+
 CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
 CALL_TIMEOUT_S = 600
 # extra backtest settings run on the backtest pair
@@ -70,13 +80,8 @@ LEMMA_BETAS = ("1", "0.5", "0")
 # a montecarlo seed of three 32-bit words
 WIDE_SEED = 2**64 + 5
 # montecarlo --periods values whose scans of periods - 1 rows end at the edges
-# of trade_scan's tiles of kernels.TILE = 16 periods: one row, and one full
-# tile and one row
-TILE_EDGE_PERIODS = (2, 18)
-# pairtrade.ingest.READ_CHUNK, data records parsed per pass of load_csv, and
-# pairtrade.backtest.WRITE_CHUNK, rows formatted per write call
-READ_CHUNK = 512
-WRITE_CHUNK = 4096
+# of trade_scan's tiles of TILE periods: one row, and one full tile and one row
+TILE_EDGE_PERIODS = (2, TILE + 2)
 # rows of quoted.csv: its ledger and plot have more than WRITE_CHUNK rows
 CHUNK_INPUT_ROWS = WRITE_CHUNK + 140
 # invalid settings: each must fail the same way, exit code and stderr; a

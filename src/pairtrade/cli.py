@@ -279,7 +279,7 @@ def _validate_backtest(cfg: dict) -> BacktestConfig:
     )
 
 
-def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
+def _validate_montecarlo(cfg: dict) -> OUPairSpec:
     spec = OUPairSpec(
         theta=cfg["theta"],
         sigma_s=cfg["sigma_s"],
@@ -303,9 +303,9 @@ def _validate_montecarlo(cfg: dict) -> tuple[OUPairSpec, float]:
         math.isfinite(cfg["initial_value"]) and cfg["initial_value"] > 0.0,
         "--initial-value must be finite and positive",
     )
-    gamma_assumed = cfg["gamma"] if cfg["gamma"] is not None else spec.gamma_cap
-    _require(0.0 < gamma_assumed < 1.0, "--gamma must lie in (0, 1)")
-    return spec, gamma_assumed
+    # without --gamma, verify_theorem assumes gamma_cap, which OUPairSpec checked
+    _require(cfg["gamma"] is None or 0.0 < cfg["gamma"] < 1.0, "--gamma must lie in (0, 1)")
+    return spec
 
 
 def _validate_lemma(cfg: dict) -> tuple[CointegrationSpread, PricePoint]:
@@ -357,15 +357,14 @@ def _emit_json(cfg: dict, payload: dict, filename: str) -> None:
         (out_dir / filename).write_text(text, encoding="utf-8")
 
 
-def _run_montecarlo(cfg: dict, validated: tuple[OUPairSpec, float]) -> None:
+def _run_montecarlo(cfg: dict, spec: OUPairSpec) -> None:
     """Monte Carlo check of traded-period expected profit."""
-    spec, gamma_assumed = validated
     summary = verify_theorem(
         spec,
         trials=cfg["trials"],
         periods=cfg["periods"],
         eta_assumed=cfg["eta"],
-        gamma_assumed=gamma_assumed,
+        gamma_assumed=cfg["gamma"],
         mode=cfg["threshold_mode"],
         leverage=cfg["leverage"],
         initial_value=cfg["initial_value"],

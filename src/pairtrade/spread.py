@@ -2,14 +2,17 @@
 
 A spread model supplies value, gradient, and Hessian over broadcastable
 price arrays (plain floats included), elementwise, with the three kept
-mutually consistent, and the curvature bound the exact threshold sizes
-positions by. The log-linear model S(p) = log p2 - beta log p1 - mu is the
-concrete family used throughout; its parameters are fit by least squares on
-log prices, and its curvature bound has a closed form.
+mutually consistent, and the two curvature terms the thresholds size
+positions by: the centre term p' H(p) p of the approx threshold and the
+curvature bound of the exact one. The log-linear model
+S(p) = log p2 - beta log p1 - mu is the concrete family used throughout; its
+parameters are fit by least squares on log prices, and both of its
+curvature terms have closed forms.
 
 Called with Python floats only (a CointegrationSpread's parameters included),
-spread_gradient and the model's gradient and curvature_bound compute in plain
-floats, in the array path's order, and return bit-identical Python floats.
+spread_gradient and the model's gradient, center_curvature and
+curvature_bound compute in plain floats, in the array path's order, and
+return bit-identical Python floats.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ class SpreadModel(ABC):
     points. Stationarity is checked pointwise wherever a gradient is
     consumed; a quadrant-wide guarantee is the implementer's responsibility.
     A model fitted on (..., n) windows holds parameters shaped (..., 1).
-    The exact threshold needs curvature_bound: a model either supplies
-    hessian_bounds, from which the generic default takes a sound bound, or
-    overrides curvature_bound with its own; otherwise exact mode raises
-    NotImplementedError and approx mode, which needs only hessian, works.
+    The approx threshold needs center_curvature, whose generic default comes
+    from hessian. The exact threshold needs curvature_bound: a model either
+    supplies hessian_bounds, from which the generic default takes a sound
+    bound, or overrides curvature_bound with its own; otherwise exact mode
+    raises NotImplementedError and approx mode still works.
     """
 
     @abstractmethod
@@ -62,6 +66,12 @@ class SpreadModel(ABC):
         [lo1, hi1] x [lo2, hi2]. The generic curvature_bound needs this."""
         raise NotImplementedError(f"{type(self).__name__} does not implement hessian_bounds, "
                                   "which the generic curvature_bound needs")
+
+    def center_curvature(self, p1, p2):
+        """p' H(p) p, elementwise: the Hessian's quadratic form at the price
+        point in the direction of the prices themselves."""
+        h11, h12, h22 = spread_hessian(self, p1, p2)
+        return p1 * p1 * h11 + 2.0 * p1 * p2 * h12 + p2 * p2 * h22
 
     def curvature_bound(self, p1, p2, gamma):
         """sup over xi, d in the relative gamma box of |d' H(xi) d|, elementwise.
@@ -154,6 +164,15 @@ class CointegrationSpread(SpreadModel):
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
         return self.beta / (p1 * p1), 0.0, -1.0 / (p2 * p2)
+
+    def center_curvature(self, p1, p2):
+        """beta - 1, broadcast to the price shape; NaN in a window without a
+        fit. The generic sum p1^2 beta / p1^2 - p2^2 / p2^2 is this at every
+        price, up to rounding that the closed form does not make."""
+        if all_floats(self.beta, p1, p2):
+            return self.beta - 1.0
+        c = np.asarray(self.beta, dtype=float) - 1.0
+        return np.broadcast_to(c, np.broadcast(p1, p2, c).shape)
 
     def curvature_bound(self, p1, p2, gamma):
         """(gamma / (1 - gamma))^2 c with c = max(beta, 1) + max(-beta, 0),

@@ -8,12 +8,16 @@ uncertainty box of one-period price moves:
     tau_approx = gamma^2 |p' H(p) p| / (2 eta)
 
 The box holds the relative moves of at most gamma in each price, xi and d
-independently; the supremum is the spread model's curvature_bound. Both
+independently. Both curvature terms come from the spread model, the
+supremum from its curvature_bound and p' H(p) p from its center_curvature,
+so each threshold makes one model call and divides by 2 eta. Both
 thresholds work elementwise over broadcastable price, gamma and eta arrays;
 called with Python floats only, they check and divide in plain floats, in
-the array path's order, and return bit-identical Python floats (the model
-may still use numpy). A NaN threshold is always the quiet NaN math.nan.
-Non-positive eta gives tau = +inf, which disables trading. Holdings are
+the array path's order, and return bit-identical Python floats (a model
+without a float path may still use numpy). A price must be finite and
+positive, or NaN for a point without a price. A NaN threshold is always the
+quiet NaN math.nan. Non-positive eta gives tau = +inf, which disables
+trading. Holdings are
 n = -lambda sign(S) grad S with lambda > 0 chosen so the gross exposure |n1| p1 + |n2| p2 equals
 leverage * account_value exactly.
 """
@@ -24,8 +28,8 @@ import math
 
 import numpy as np
 
-from .domain import DomainError, all_floats, check_number
-from .spread import SpreadModel, spread_hessian
+from .domain import DomainError, all_floats, check_number, check_positive
+from .spread import SpreadModel
 
 THRESHOLD_MODES = ("approx", "exact")
 
@@ -51,10 +55,14 @@ def _rate(name: str, x, rule: str, ok) -> np.ndarray:
 
 
 def _as_arrays(p1, p2, gamma, eta) -> tuple:
-    """The checked inputs as float arrays; Python floats that pass stay floats."""
-    if all_floats(p1, p2, gamma, eta) and 0.0 < gamma < 1.0 and math.isfinite(eta):
+    """The checked inputs as float arrays; Python floats that pass stay floats.
+    A NaN price passes: the engine gives rows it does not trade NaN prices."""
+    if (all_floats(p1, p2, gamma, eta) and 0.0 < p1 < math.inf and 0.0 < p2 < math.inf
+            and 0.0 < gamma < 1.0 and math.isfinite(eta)):
         return p1, p2, gamma, eta
-    p1, p2 = (np.asarray(x, dtype=float) for x in (p1, p2))
+    p1, p2 = (_rate(name, p, "be finite and positive or NaN",
+                    lambda x: np.isnan(x) | ((x > 0.0) & (x < math.inf)))
+              for name, p in (("p1", p1), ("p2", p2)))
     gamma = _rate("gamma", gamma, "lie in (0, 1)", lambda g: (g > 0.0) & (g < 1.0))
     return p1, p2, gamma, _rate("eta", eta, "be finite", np.isfinite)
 
@@ -81,11 +89,10 @@ def threshold_exact(model: SpreadModel, p1, p2, gamma, eta):
 
 
 def threshold_approx(model: SpreadModel, p1, p2, gamma, eta):
-    """Second-order threshold using only the Hessian at the center point."""
+    """Second-order threshold from the curvature at the center point only:
+    gamma^2 times the model's center_curvature, over 2 eta."""
     p1, p2, gamma, eta = _as_arrays(p1, p2, gamma, eta)
-    h11, h12, h22 = spread_hessian(model, p1, p2)
-    quad = p1 * p1 * h11 + 2.0 * p1 * p2 * h12 + p2 * p2 * h22
-    return _per_point(gamma * gamma * np.abs(quad), eta)
+    return _per_point(gamma * gamma * abs(model.center_curvature(p1, p2)), eta)
 
 
 def allocate(
@@ -101,10 +108,12 @@ def allocate(
     """Threshold rule at one price point with spread gradient (g1, g2):
     holdings (n1, n2), flat (0.0, 0.0) unless |spread| > threshold, else
     fully invested against the spread direction."""
-    if not (math.isfinite(account_value) and account_value > 0.0):
-        raise DomainError(f"account_value must be finite and positive, got {account_value!r}")
-    if not (math.isfinite(leverage) and leverage > 0.0):
-        raise DomainError(f"leverage must be finite and positive, got {leverage!r}")
+    # a Python float in range costs a type test and a comparison; anything
+    # else goes through check_positive, which raises naming the fault
+    if not (type(account_value) is float and 0.0 < account_value < math.inf):
+        check_positive("account_value", account_value)
+    if not (type(leverage) is float and 0.0 < leverage < math.inf):
+        check_positive("leverage", leverage)
     if math.isnan(threshold) or threshold < 0.0:
         raise DomainError(f"threshold must be non-negative, got {threshold!r}")
     if not (abs(spread) > threshold):

@@ -14,7 +14,7 @@ from pairtrade.ingest import AdjustmentRule
 from pairtrade.seeding import trial_generators
 from pairtrade.spread import CointegrationSpread
 from pairtrade.synthetic import OUPairSpec, generate_pair, verify_lemma, verify_theorem
-from pairtrade.trading import threshold_approx, threshold_exact
+from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
 log_prices = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -180,6 +180,9 @@ class TestReturns:
 # the bools and NaN for an integer
 HUGE = 10**400
 NUMBER = (True, np.True_, HUGE, math.nan)
+# a threshold's price may be NaN, which marks a row without a price
+PRICE = (True, np.True_, HUGE, 0.0, -5.0, math.inf, -math.inf)
+POSITIVE = (*NUMBER, 0.0, -5.0, math.inf)
 INTEGER = (True, np.True_, math.nan)
 SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0)
 PRICES = np.array([100.0, 101.0, 99.0])
@@ -196,7 +199,12 @@ def _lemma(**kw):
 
 def _threshold(threshold, **kw):
     m = CointegrationSpread(2.0, 0.0)
-    return threshold(m, 100.0, 50.0, **{"gamma": 0.05, "eta": 0.1, **kw})
+    return threshold(m, **{"p1": 100.0, "p2": 50.0, "gamma": 0.05, "eta": 0.1, **kw})
+
+
+def _allocate(**kw):
+    return allocate(-0.02, 0.02, 100.0, 50.0, 0.1, 0.05,
+                    **{"account_value": 10_000.0, "leverage": 1.0, **kw})
 
 
 SCALAR_ARGUMENTS = [
@@ -232,6 +240,10 @@ SCALAR_ARGUMENTS = [
     ("trial_generators", "trials", lambda x: trial_generators(0, x), INTEGER),
     *[(t.__name__, name, lambda x, t=t, name=name: _threshold(t, **{name: x}), NUMBER)
       for t in (threshold_exact, threshold_approx) for name in ("gamma", "eta")],
+    *[(t.__name__, name, lambda x, t=t, name=name: _threshold(t, **{name: x}), PRICE)
+      for t in (threshold_exact, threshold_approx) for name in ("p1", "p2")],
+    *[("allocate", name, lambda x, name=name: _allocate(**{name: x}), POSITIVE)
+      for name in ("account_value", "leverage")],
 ]
 
 

@@ -233,6 +233,18 @@ class TestCurvatureBound:
             want = SpreadModel.curvature_bound(m, p1, p2, gamma)
             np.testing.assert_allclose(m.curvature_bound(p1, p2, gamma), want, rtol=1e-14)
 
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5, 0.0, -1e-12, -0.7, -3.0])
+    def test_log_linear_center_curvature_matches_generic_default(self, beta):
+        # the generic p' H(p) p is beta - 1 up to the rounding of its two
+        # terms, each within a few ulps of beta or of 1
+        m = CointegrationSpread(beta=beta, mu=0.2)
+        p1 = np.array([100.0, 0.3, 420.0, 1e-3])
+        p2 = np.array([50.0, 7.0, 0.05, 3e3])
+        want = SpreadModel.center_curvature(m, p1, p2)
+        got = m.center_curvature(p1, p2)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4.0 * np.spacing(max(abs(beta), 1.0)))
+
     @pytest.mark.parametrize("model", ENCLOSED_MODELS, ids=lambda m: type(m).__name__)
     @given(
         st.floats(0.01, 400.0),

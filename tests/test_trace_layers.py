@@ -71,6 +71,18 @@ def test_traced_exact_backtest_takes_no_hessian(perfbench, tmp_path):
     assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN
 
 
+def test_traced_approx_backtest_takes_no_hessian(perfbench, tmp_path):
+    # the log-linear centre term is the closed form beta - 1: one approx
+    # threshold call over the trade blocks, and no Hessian anywhere either
+    tracer, snap = _traced_backtest(perfbench, tmp_path, "--threshold-mode", "approx")
+    assert tracer.absent == []
+    assert snap["trading.threshold_approx_calls"] == 1
+    assert snap["trading.threshold_exact_calls"] == 0
+    assert snap["spread.spread_hessian_calls"] == 0
+    assert snap["spread.spread_gradient_calls"] == 1
+    assert snap["backtest.ledger_rows"] == ROWS - TRAIN_LEN
+
+
 def test_traced_montecarlo_finds_the_moved_layers(perfbench):
     # 1,500 trials are a full chunk of CHUNK_TRIALS and a partial one: the
     # tracer still finds trial_generators, which synthetic takes from

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairtrade.domain import DomainError
@@ -70,6 +70,7 @@ class TestThresholdApprox:
         st.floats(min_value=-3.0, max_value=3.0),
     )
     @settings(max_examples=100)
+    @example(beta=1.0, lp1=2.25, lp2=0.0)
     def test_price_independent_for_log_linear(self, beta, lp1, lp2):
         # p' H(p) p = beta - 1 for every price, so the approx threshold
         # cannot depend on where it is evaluated
@@ -270,6 +271,18 @@ class TestThresholdExact:
             threshold(m, *P, np.array([0.05, 1.0]), 0.1)
         with pytest.raises(DomainError, match="eta"):
             threshold(m, *P, 0.05, np.array([0.1, math.nan]))
+
+    @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
+    def test_prices_validated_but_nan_passes(self, threshold):
+        # the engine marks rows it does not trade with NaN prices and eta 0
+        m = CointegrationSpread(beta=2.0, mu=0.0)
+        p1 = np.array([100.0, math.nan, 90.0])
+        tau = threshold(m, p1, 50.0, 0.05, np.array([0.1, 0.0, 0.1]))
+        assert tau[1] == math.inf and np.isfinite(tau[[0, 2]]).all()
+        p1[2] = -1.0
+        with pytest.raises(DomainError) as err:
+            threshold(m, p1, 50.0, 0.05, 0.1)
+        assert str(err.value) == "p1 must be finite and positive or NaN, got -1.0 at index [2]"
 
     @pytest.mark.parametrize("threshold", [threshold_exact, threshold_approx])
     def test_rate_error_names_first_offender(self, threshold):
