@@ -57,7 +57,10 @@ def _rate(name: str, x, rule: str, ok) -> np.ndarray:
 def _as_arrays(p1, p2, gamma, eta) -> tuple:
     """The checked inputs as float arrays; Python floats that pass stay floats.
     A NaN price passes: the engine gives rows it does not trade NaN prices."""
-    if (all_floats(p1, p2, gamma, eta) and 0.0 < p1 < math.inf and 0.0 < p2 < math.inf
+    # all_floats spelt out: verify_lemma makes one call per sample, and the
+    # helper's call costs more than the four range checks together
+    if (type(p1) is type(p2) is type(gamma) is type(eta) is float
+            and 0.0 < p1 < math.inf and 0.0 < p2 < math.inf
             and 0.0 < gamma < 1.0 and math.isfinite(eta)):
         return p1, p2, gamma, eta
     p1, p2 = (_rate(name, p, "be finite and positive or NaN",
