@@ -13,7 +13,10 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   `BACKTEST_SETTINGS` (every window a one-row block, a partial last block,
   leverage high enough that windows go untradeable with a warning, a fixed
   gamma), and on `flat_p1.csv`, whose p1 stands still over rows 100-159 so
-  that five windows have no fit; each in both threshold modes
+  that five windows have no fit, and on `halting.csv`, the `backtest` pair
+  with p2 30 times higher after a row past the middle that holds p2 short
+  in both modes, so that the account goes below zero and trading halts
+  with a warning; each in both threshold modes
 - `montecarlo --seed S`, its other settings at their defaults, and again in
   exact mode with `--bins 4 --leverage 2.5`
 - `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
@@ -61,8 +64,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # pass of load_csv, WRITE_CHUNK rows formatted per write call and TILE
 # periods per tile of trade_scan
 sys.path.insert(0, str(ROOT / "src"))
-from pairtrade.backtest import WRITE_CHUNK  # noqa: E402
-from pairtrade.ingest import READ_CHUNK  # noqa: E402
+from pairtrade.backtest import WRITE_CHUNK, BacktestConfig, run_backtest  # noqa: E402
+from pairtrade.ingest import READ_CHUNK, load_csv  # noqa: E402
 from pairtrade.kernels import TILE  # noqa: E402
 
 CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -133,6 +136,24 @@ def write_flat_p1(source: Path, path: Path, rows: int = 300) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_halting(source: Path, path: Path) -> None:
+    """A date,p1,p2 CSV with p2 30 times higher after the first row past the
+    middle that holds p2 short in both threshold modes, as this checkout's
+    backtest runs it: a loss of about ten times the account value."""
+    series = load_csv(source)
+    short = []
+    for mode in ("approx", "exact"):
+        ledger, _ = run_backtest(series, BacktestConfig(threshold_mode=mode))
+        short.append({k for k, n2 in zip(ledger.k.tolist(), ledger.n2.tolist()) if n2 < 0.0})
+    at = min(k for k in short[0] & short[1] if k >= len(series) // 2)
+    lines = source.read_text(encoding="utf-8").splitlines()
+    # line r + 1 holds row r
+    for i in range(at + 2, len(lines)):
+        date, p1, p2 = lines[i].split(",")
+        lines[i] = f"{date},{p1},{float(p2) * 30.0!r}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_quoted(source: Path, path: Path) -> None:
     """The first CHUNK_INPUT_ROWS rows of a date,p1,p2 CSV with ",x" appended
     to every date, quoted, and blank lines: five across ingest's first chunk
@@ -183,6 +204,9 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     runs = [(path.stem, path, []) for path in [backtest, *inputs.screen_inputs(seed, data)]]
     runs += [(f"backtest-{label}", backtest, extra) for label, extra in BACKTEST_SETTINGS.items()]
     runs.append((flat_p1.stem, flat_p1, []))
+    halting = data / "halting.csv"
+    write_halting(backtest, halting)
+    runs.append((halting.stem, halting, []))
     out = []
     for stem, path, extra in runs:
         for mode in ("approx", "exact"):

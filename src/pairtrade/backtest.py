@@ -3,7 +3,9 @@
 The engine refits the spread model every trade_len periods on the trailing
 train_len observations, freezes the window estimates (beta, mu, gamma, eta),
 and applies the threshold allocation rule at every period with the frozen
-estimates. Position profit is marked to market one period later. The first
+estimates: in array calls over all periods, but for the account value
+recursion, which steps through the active periods one at a time. Position
+profit is marked to market one period later. The first
 tradeable period is index train_len; the decision at the final period is
 recorded but never realized.
 """
@@ -27,7 +29,7 @@ from .domain import (
 )
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig, estimate_eta, estimate_gamma
 from .spread import SpreadModel, fit_cointegration, spread_gradient, spread_value
-from .trading import THRESHOLD_MODES, allocate, threshold_approx, threshold_exact
+from .trading import THRESHOLD_MODES, threshold_approx, threshold_exact
 
 logger = logging.getLogger(__name__)
 
@@ -148,8 +150,23 @@ def run_backtest(
 
     Spreads, thresholds and gradients are one call each over the trade rows
     laid out as a (windows, trade_len) matrix, so a stationary point anywhere
-    in a tradeable block raises StationaryPointError. Only the allocation
-    and the value recursion run row by row.
+    in a tradeable block raises StationaryPointError. The parts of the rule
+    that do not depend on the account value V are array operations over the
+    trade rows: the active mask |S| > tau, den = |g1| p1 + |g2| p2, the
+    sign-flipped gradient a = -sign(S) g and the price moves dp. Only the
+    value recursion runs row by row, over the active rows:
+
+        lam = leverage V / den
+        V += (lam a1) dp1 + (lam a2) dp2
+
+    and the holdings n = -lam sign(S) g follow as arrays from the values,
+    in trading.allocate's order of operations. The steps of V are the
+    doubles allocate's holdings give, because a sign flip is exact
+    (kernels.trade_scan makes the same split), and an inactive row adds
+    nothing to V. The faults allocate raised row by row stay: a NaN or
+    negative threshold raises DomainError at the first such row unless
+    trading halted before it, and an account value that is not finite
+    raises DomainError naming account_value.
     """
     if config is None:
         config = BacktestConfig()
@@ -203,43 +220,66 @@ def run_backtest(
         return column(np.where(fitted, block, math.nan))
 
     spread, tau, g1, g2 = estimate(spread), column(tau), column(g1), column(g2)
-    p1 = series.p1.tolist()
-    p2 = series.p2.tolist()
-    value = config.initial_value
-    values: list[float] = []
-    n1: list[float] = []
-    n2: list[float] = []
-    for k, s, t, a, b in zip(
-        range(n_train, total), spread.tolist(), tau.tolist(), g1.tolist(), g2.tolist()
-    ):
-        if value <= 0.0:
-            logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, k)
-            break
-        x1, x2 = allocate(a, b, p1[k], p2[k], s, t, value, config.leverage)
-        values.append(value)
-        n1.append(x1)
-        n2.append(x2)
-        if k + 1 < total:
-            value = value + (x1 * (p1[k + 1] - p1[k]) + x2 * (p2[k + 1] - p2[k]))
-    # from a halt on the account holds nothing and its value stays frozen
-    halt = len(values)
+    p1, p2 = series.p1[n_train:], series.p2[n_train:]
+    # the parts of the rule that do not depend on the account value
     active = np.abs(spread) > tau
+    with np.errstate(invalid="ignore", over="ignore"):
+        den = np.abs(g1) * p1 + np.abs(g2) * p2
+    sign = np.copysign(1.0, spread)
+    a1, a2 = -sign * g1, -sign * g2
+    dp1, dp2 = np.diff(p1), np.diff(p2)
+    # the row loop would stop at the first NaN or negative threshold
+    bad = np.flatnonzero(np.isnan(tau) | (tau < 0.0))
+    stop = int(bad[0]) if bad.size else rows
+    # the value recursion over the active rows before stop; the last row's
+    # profit is never realized
+    act = np.flatnonzero(active[: min(stop, rows - 1)])
+    lev = config.leverage
+    value = config.initial_value
+    values = [value]
+    for d, b1, b2, d1, d2 in zip(*(x[act].tolist() for x in (den, a1, a2, dp1, dp2))):
+        lam = lev * value / d
+        value = value + (lam * b1 * d1 + lam * b2 * d2)
+        values.append(value)
+        if not 0.0 < value < math.inf:
+            break
+    steps = act[: len(values) - 1]  # the rows whose profit moved the value
+    # from a halt on the account holds nothing and its value stays frozen
+    halt = rows
+    if not 0.0 < value < math.inf:
+        if not value <= 0.0:
+            raise DomainError(f"account_value must be finite and positive, got {value!r}")
+        halt = int(steps[-1]) + 1
+        logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, n_train + halt)
+    elif stop < rows:
+        raise DomainError(f"threshold must be non-negative, got {tau[stop].item()!r}")
     active[halt:] = False
-    flat = [0.0] * (rows - halt)
+    # each step's holdings from the value it was decided at
+    n1, n2 = np.zeros(rows), np.zeros(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam = lev * np.array(values[:-1]) / den[steps]
+        n1[steps], n2[steps] = (-lam * sign[steps] * g[steps] for g in (g1, g2))
+    if active[-1]:
+        # in Python floats, as allocate: a non-finite gradient gives NaN
+        # holdings that no later value takes in, and numpy's NaN sign may differ
+        lam = lev * value / den[-1].item()
+        s = sign[-1].item()
+        n1[-1], n2[-1] = -lam * s * g1[-1].item(), -lam * s * g2[-1].item()
     ledger = Ledger(
         k=np.arange(n_train, total),
         date=series.dates[n_train:],
-        p1=series.p1[n_train:],
-        p2=series.p2[n_train:],
+        p1=p1,
+        p2=p2,
         spread=spread,
         threshold=tau,
         beta=estimate(getattr(model, "beta", math.nan)),
         mu=estimate(getattr(model, "mu", math.nan)),
         gamma=estimate(gamma),
         eta=estimate(eta),
-        n1=np.array(n1 + flat),
-        n2=np.array(n2 + flat),
-        value=np.array(values + [value] * (rows - halt)),
+        n1=n1,
+        n2=n2,
+        # each value holds from the row after its step to the next step
+        value=np.repeat(values, np.diff(steps, prepend=-1, append=rows - 1)),
         active=active,
     )
 
@@ -255,9 +295,9 @@ def run_backtest(
     return ledger, report
 
 
-# %-formats of one CSV row; dates go through _csv_field
-_LEDGER_ROW = "%d,%s," + ",".join(["%.10g"] * (len(LEDGER_COLUMNS) - 3)) + ",%d\n"
-_PLOT_ROW = "%d,%s,%.10g,%.10g,%.10g\n"
+# %-formats of the fields of one CSV row; dates go through _csv_field
+_LEDGER_FIELDS = ("%d", "%s", *["%.10g"] * (len(LEDGER_COLUMNS) - 3), "%d")
+_PLOT_FIELDS = ("%d", "%s", "%.10g", "%.10g", "%.10g")
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 # rows formatted per write call
 WRITE_CHUNK = 4096
@@ -273,11 +313,34 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _write_rows(fh, row: str, columns: list) -> None:
+def _has_runs(col) -> bool:
+    """True for a float64 column where at least half the values have the
+    bits of the value before them, as a window's estimates do."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return False
+    bits = col.view(np.int64)
+    return 0 < len(col) <= 2 * int(np.count_nonzero(bits[1:] == bits[:-1]))
+
+
+def _run_texts(col: np.ndarray, fmt: str) -> list:
+    """The column formatted by fmt, one %-format call for the first value of
+    each run of equal bits (so -0.0 and 0.0 stay apart), repeated over the
+    run."""
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = ((fmt + "\n") * len(starts) % tuple(col[starts].tolist())).split("\n")[:-1]
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(col))).tolist()
+
+
+def _write_rows(fh, fields: tuple, columns: list) -> None:
     """Write one row per index of the columns, each a numpy array or a tuple
-    of date labels: one %-format call per WRITE_CHUNK rows."""
+    of date labels, the field of column c formatted by fields[c]: one
+    %-format call per WRITE_CHUNK rows. A column with runs (see _has_runs)
+    goes in as text from _run_texts."""
     width = len(columns)
     rows = len(columns[0])
+    runs = [_has_runs(col) for col in columns]
+    row = ",".join("%s" if run else fmt for fmt, run in zip(fields, runs)) + "\n"
     for i in range(0, rows, WRITE_CHUNK):
         j = min(i + WRITE_CHUNK, rows)
         flat = [None] * ((j - i) * width)
@@ -285,6 +348,8 @@ def _write_rows(fh, row: str, columns: list) -> None:
             if isinstance(col, tuple):
                 col = col[i:j]
                 flat[c::width] = map(_csv_field, col) if _NEEDS_QUOTES("".join(col)) else col
+            elif runs[c]:
+                flat[c::width] = _run_texts(col[i:j], fields[c])
             else:
                 flat[c::width] = col[i:j].tolist()
         fh.write((row * (j - i)) % tuple(flat))
@@ -295,7 +360,7 @@ def write_ledger_csv(ledger: Ledger, path) -> None:
     digits, active as 0/1."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        _write_rows(fh, _LEDGER_ROW, [getattr(ledger, name) for name in LEDGER_COLUMNS])
+        _write_rows(fh, _LEDGER_FIELDS, [getattr(ledger, name) for name in LEDGER_COLUMNS])
 
 
 def write_report_json(report: BacktestReport, path, extra: dict | None = None) -> None:
@@ -321,4 +386,4 @@ def write_plot_csv(path, series: PriceSeries, ledger: Ledger, initial_value: flo
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,date,value,buyhold_1,buyhold_2\n")
-        _write_rows(fh, _PLOT_ROW, columns)
+        _write_rows(fh, _PLOT_FIELDS, columns)

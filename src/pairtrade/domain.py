@@ -54,6 +54,24 @@ def check_finite(name: str, x) -> None:
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
+def check_float(name: str, x) -> None:
+    """Reject a bool and an int beyond the float range; NaN and the
+    infinities pass."""
+    check_number(name, x)
+    try:
+        float(x)
+    except OverflowError:
+        raise DomainError(f"{name} must lie in the float range, got {x!r}") from None
+
+
+def check_non_negative(name: str, x) -> None:
+    """Reject a bool, NaN, an int beyond the float range and anything < 0;
+    +inf passes."""
+    check_float(name, x)
+    if not x >= 0.0:
+        raise DomainError(f"{name} must be non-negative, got {x!r}")
+
+
 def check_positive(name: str, x) -> None:
     """Reject a bool and anything but a finite number > 0."""
     check_number(name, x)

@@ -28,7 +28,9 @@ import math
 
 import numpy as np
 
-from .domain import DomainError, all_floats, check_number, check_positive
+from .domain import (
+    DomainError, all_floats, check_float, check_non_negative, check_number, check_positive,
+)
 from .spread import SpreadModel
 
 THRESHOLD_MODES = ("approx", "exact")
@@ -110,15 +112,19 @@ def allocate(
 ) -> tuple[float, float]:
     """Threshold rule at one price point with spread gradient (g1, g2):
     holdings (n1, n2), flat (0.0, 0.0) unless |spread| > threshold, else
-    fully invested against the spread direction."""
-    # a Python float in range costs a type test and a comparison; anything
-    # else goes through check_positive, which raises naming the fault
-    if not (type(account_value) is float and 0.0 < account_value < math.inf):
-        check_positive("account_value", account_value)
-    if not (type(leverage) is float and 0.0 < leverage < math.inf):
-        check_positive("leverage", leverage)
-    if math.isnan(threshold) or threshold < 0.0:
-        raise DomainError(f"threshold must be non-negative, got {threshold!r}")
+    fully invested against the spread direction.
+
+    The prices, account_value and leverage must be finite and positive and
+    the threshold non-negative (+inf never trades). The spread may be NaN,
+    which never trades, and the gradient may be non-finite: the row-loop
+    oracle in the tests passes NaN gradients on rows it does not trade."""
+    check_positive("account_value", account_value)
+    check_positive("leverage", leverage)
+    check_non_negative("threshold", threshold)
+    check_positive("p1", p1)
+    check_positive("p2", p2)
+    for name, x in (("spread", spread), ("g1", g1), ("g2", g2)):
+        check_float(name, x)
     if not (abs(spread) > threshold):
         return 0.0, 0.0
     lam = leverage * account_value / (abs(g1) * p1 + abs(g2) * p2)

@@ -9,6 +9,7 @@ audit trail.
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ class _StationaryAt(SpreadModel):
         return self.inner.hessian(p1, p2)
 
 
+class _NaNThresholdAt(_StationaryAt):
+    """A fitted log-linear spread whose centre curvature, and so its approx
+    threshold, is NaN where p1 equals p1_star. Test double."""
+
+    def gradient(self, p1, p2):
+        return self.inner.gradient(p1, p2)
+
+    def center_curvature(self, p1, p2):
+        curvature = self.inner.center_curvature(p1, p2)
+        return np.where(np.asarray(p1) == self.p1_star, math.nan, curvature)
+
+
 def _fit_trend(p1, p2):
     return _TrendModel(np.min(np.log(p1), axis=-1, keepdims=True) - 1.0)
 
@@ -318,6 +331,52 @@ class TestDegenerateConditions:
         # the row loop only ever asked for gradients on traded rows
         assert len(scalar_oracle.run_backtest(series, BacktestConfig(), fit)) == len(ledger)
 
+    def test_nan_threshold_on_tradeable_row_raises(self):
+        series = synthetic_series(seed=4, length=300)
+        ledger, _ = run_backtest(series)
+        at = int(np.flatnonzero(np.isfinite(ledger.threshold))[-1])
+        p1_star = float(ledger.p1[at])
+        assert np.count_nonzero(series.p1 == p1_star) == 1
+
+        def fit(p1, p2):
+            return _NaNThresholdAt(fit_cointegration(p1, p2), p1_star)
+
+        with pytest.raises(DomainError, match=r"^threshold must be non-negative, got nan$"):
+            run_backtest(series, fit_model=fit)
+
+    def test_halt_before_nan_threshold_does_not_raise(self):
+        # p2 jumps 30-fold after a row that holds it short, so the account
+        # goes below zero; a NaN threshold on a tradeable row after the halt
+        # is never checked
+        base = synthetic_series(seed=4, length=300)
+        ledger, _ = run_backtest(base)
+        at = int(np.flatnonzero(ledger.n2[:100] < 0.0)[-1])
+        p2 = base.p2.copy()
+        p2[int(ledger.k[at]) + 1:] *= 30.0
+        series = make_series(base.p1, p2)
+        halted, report = run_backtest(series)
+        assert halted.value[at + 1] <= 0.0 and not halted.active[at + 1:].any()
+        late = int(np.flatnonzero(np.isfinite(halted.threshold))[-1])
+        assert late > at + 1
+        p1_star = float(halted.p1[late])
+        assert np.count_nonzero(series.p1 == p1_star) == 1
+
+        def fit(p1, p2):
+            return _NaNThresholdAt(fit_cointegration(p1, p2), p1_star)
+
+        ledger, got = run_backtest(series, fit_model=fit)
+        assert math.isnan(ledger.threshold[late])
+        for name in ("n1", "n2", "value", "active"):
+            np.testing.assert_array_equal(getattr(ledger, name), getattr(halted, name))
+        assert got == report
+
+    def test_account_value_overflow_raises(self):
+        # starting at the largest double, the first net gain overflows the
+        # account value to inf, which the next row rejects
+        cfg = BacktestConfig(initial_value=sys.float_info.max)
+        with pytest.raises(DomainError, match=r"^account_value must be finite and positive, got inf$"):
+            run_backtest(synthetic_series(seed=4, length=300), cfg)
+
     def test_huge_window_returns_disable_trading(self):
         # a window containing a 4x jump gives gamma_hat clipped to 1 and the
         # window is ruled untradeable rather than crashing threshold sizing
@@ -344,7 +403,8 @@ def _estimates(ledger):
 class TestScalarOracle:
     """The one-pass engine against scalar_oracle.run_backtest, the row-at-a-time
     loop with per-window refits that it replaced. k, dates, prices, beta, mu,
-    gamma, holdings, value and active must be equal. spread, eta and
+    gamma, holdings, value and active must be equal, the holdings and value
+    bit for bit, so that -0.0 is not taken for 0.0. spread, eta and
     threshold may differ in the last bits: the engine takes logs of whole
     price arrays and the oracle of one float at a time, and numpy may route
     the two through different log implementations (math.log and np.log
@@ -353,7 +413,9 @@ class TestScalarOracle:
     threshold, which divide sums over a window of such spreads, a relative
     1e-11."""
 
-    EXACT = ("k", "date", "p1", "p2", "beta", "mu", "gamma", "n1", "n2", "value", "active")
+    EXACT = ("k", "date", "p1", "p2", "beta", "mu", "gamma", "active")
+    # compared bit for bit: assert_array_equal takes -0.0 for 0.0
+    BITWISE = ("n1", "n2", "value")
 
     @pytest.mark.parametrize(
         "case",
@@ -413,6 +475,9 @@ class TestScalarOracle:
         assert len(ledger) == len(ref)
         for name in self.EXACT:
             np.testing.assert_array_equal(getattr(ledger, name), _column(ref, name), err_msg=name)
+        for name in self.BITWISE:
+            np.testing.assert_array_equal(getattr(ledger, name).view(np.int64),
+                                          _column(ref, name).view(np.int64), err_msg=name)
         np.testing.assert_allclose(ledger.spread, _column(ref, "spread"), rtol=0, atol=1e-14)
         for name in ("eta", "threshold"):
             np.testing.assert_allclose(getattr(ledger, name), _column(ref, name), rtol=1e-11, err_msg=name)

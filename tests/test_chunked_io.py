@@ -7,6 +7,7 @@ scalar_oracle's csv.writer writers, one row at a time, byte for byte. Most
 cases sit at chunk edges.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from pairtrade.backtest import (
     LEDGER_COLUMNS,
     WRITE_CHUNK,
     Ledger,
+    _has_runs,
     run_backtest,
     write_ledger_csv,
     write_plot_csv,
@@ -118,6 +120,71 @@ class TestWriters:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2**20
+
+
+
+# NaNs with different bits, all written "nan": quiet, with a payload,
+# negative, and signalling
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001],
+                dtype=np.int64).view(np.float64)
+
+
+def run_ledger(rows, col):
+    """odd_ledger(rows) with col, a float column of rows values, as its
+    beta, mu, n1 and value, so that the plot's value column has it too."""
+    return dataclasses.replace(odd_ledger(rows), beta=col, mu=col.copy(), n1=col.copy(),
+                               value=col.copy())
+
+
+def runs_of(values, length, rows):
+    """Each of values repeated length times, cycled to rows entries."""
+    runs = np.repeat(np.asarray(values, dtype=float), length)
+    return np.resize(runs, rows)
+
+
+class TestWriterRuns:
+    """A float column where at least half the values have the bits of the
+    value before them is formatted once per run; each case is checked
+    against the csv.writer writers."""
+
+    def check(self, tmp_path, col, runs=True):
+        col = np.asarray(col, dtype=float)
+        assert _has_runs(col) is runs
+        series = PriceSeries(quoted_dates(len(col) + 40), np.ones(len(col) + 40),
+                             np.ones(len(col) + 40))
+        check_writers(tmp_path, series, run_ledger(len(col), col))
+
+    def test_minus_zero_next_to_zero(self, tmp_path):
+        # equal under ==, but written "-0" and "0"
+        self.check(tmp_path, runs_of([0.0, -0.0, -0.0, 0.0, 1.5], 3, 100))
+
+    def test_nans_with_different_bits(self, tmp_path):
+        self.check(tmp_path, runs_of(NANS, 3, 100))
+
+    def test_runs_of_infinities(self, tmp_path):
+        self.check(tmp_path, runs_of([math.inf, -math.inf, math.inf, 2.0], 4, 100))
+
+    def test_run_across_the_chunk_edge(self, tmp_path):
+        col = runs_of(np.arange(10.0), 5, 2 * WRITE_CHUNK + 3)
+        col[WRITE_CHUNK - 50 : WRITE_CHUNK + 50] = 0.125
+        self.check(tmp_path, col)
+
+    @pytest.mark.parametrize("rows", [1, 2, WRITE_CHUNK + 1])
+    def test_one_value(self, tmp_path, rows):
+        # one row has no value before it, so no run
+        self.check(tmp_path, np.full(rows, -2.5e-300), runs=rows > 1)
+
+    @pytest.mark.parametrize("rows", [100, 101])
+    @pytest.mark.parametrize("repeats, runs", [(-1, False), (0, True), (1, True)])
+    def test_half_cut(self, tmp_path, rows, repeats, runs):
+        # distinct values but for a first run that repeats its value
+        # (rows + 1) // 2 + repeats times: runs from half the rows on
+        col = np.linspace(1.0, 2.0, rows)
+        col[: (rows + 1) // 2 + repeats + 1] = 1.0
+        self.check(tmp_path, col, runs)
+
+    def test_empty_ledger(self, tmp_path):
+        self.check(tmp_path, np.array([]), runs=False)
 
 
 HEADER = "date,p1,p2"

@@ -184,6 +184,11 @@ NUMBER = (True, np.True_, HUGE, math.nan)
 PRICE = (True, np.True_, HUGE, 0.0, -5.0, math.inf, -math.inf)
 POSITIVE = (*NUMBER, 0.0, -5.0, math.inf)
 INTEGER = (True, np.True_, math.nan)
+# +inf is a threshold that never trades
+NON_NEGATIVE = (True, np.True_, HUGE, math.nan, -5.0, -math.inf)
+# NaN and the infinities pass: a NaN spread never trades, and the row-loop
+# oracle passes NaN gradients on the rows it does not trade
+FLOAT = (True, np.True_, HUGE, -HUGE)
 SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0)
 PRICES = np.array([100.0, 101.0, 99.0])
 
@@ -203,8 +208,8 @@ def _threshold(threshold, **kw):
 
 
 def _allocate(**kw):
-    return allocate(-0.02, 0.02, 100.0, 50.0, 0.1, 0.05,
-                    **{"account_value": 10_000.0, "leverage": 1.0, **kw})
+    return allocate(**{"g1": -0.02, "g2": 0.02, "p1": 100.0, "p2": 50.0, "spread": 0.1,
+                       "threshold": 0.05, "account_value": 10_000.0, "leverage": 1.0, **kw})
 
 
 SCALAR_ARGUMENTS = [
@@ -243,13 +248,20 @@ SCALAR_ARGUMENTS = [
     *[(t.__name__, name, lambda x, t=t, name=name: _threshold(t, **{name: x}), PRICE)
       for t in (threshold_exact, threshold_approx) for name in ("p1", "p2")],
     *[("allocate", name, lambda x, name=name: _allocate(**{name: x}), POSITIVE)
-      for name in ("account_value", "leverage")],
+      for name in ("account_value", "leverage", "p1", "p2")],
+    ("allocate", "threshold", lambda x: _allocate(threshold=x), NON_NEGATIVE),
+    *[("allocate", name, lambda x, name=name: _allocate(**{name: x}), FLOAT)
+      for name in ("spread", "g1", "g2")],
 ]
+
+
+def _label(x):
+    return "10**400" if x is HUGE else "-10**400" if x is FLOAT[-1] else repr(x)
 
 
 @pytest.mark.parametrize(
     "name, call, x",
-    [pytest.param(name, call, x, id=f"{owner}.{name}-{'10**400' if x is HUGE else repr(x)}")
+    [pytest.param(name, call, x, id=f"{owner}.{name}-{_label(x)}")
      for owner, name, call, values in SCALAR_ARGUMENTS for x in values],
 )
 def test_scalar_argument_rejected(name, call, x):
@@ -258,3 +270,21 @@ def test_scalar_argument_rejected(name, call, x):
     error = LengthError if name == "length" else DomainError
     with pytest.raises(error, match=f"^{name} must "):
         call(x)
+
+
+@pytest.mark.parametrize(
+    "kw, trades",
+    [
+        ({"threshold": math.inf}, False),
+        ({"threshold": -0.0}, True),
+        ({"spread": math.nan}, False),
+        ({"spread": 0.01, "g1": math.nan}, False),
+        ({"p1": 100, "account_value": 10_000}, True),
+        ({"g1": math.inf}, True),
+    ],
+    ids=["threshold-inf", "threshold-minus-zero", "spread-nan", "flat-nan-gradient",
+         "int-prices", "gradient-inf"],
+)
+def test_allocate_accepts_the_edges_of_its_domain(kw, trades):
+    n1, n2 = _allocate(**kw)
+    assert ((n1, n2) != (0.0, 0.0)) is trades
