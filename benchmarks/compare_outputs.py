@@ -41,7 +41,8 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   gamma floor, an infinite initial value and a gamma of 1, alone and with a
   zero gamma floor, which pins the order of the checks; `montecarlo` with
   each generator parameter out of its domain, and two at once; and
-  `verify-lemma` with each of its own settings out of its domain
+  `verify-lemma` with each of its own settings out of its domain, and with a
+  band and a p0 that take a sampled price past the largest float
 
 It lists every exit code, stdout, stderr and output file whose bytes differ
 between the trees, and exits 1 if anything differs. Giving the same tree
@@ -104,6 +105,8 @@ ERROR_CALLS = [
     ("verify-lemma", ["--samples", "0"]),
     ("verify-lemma", ["--beta", "nan"]),
     ("verify-lemma", ["--mu", "inf"]),
+    ("verify-lemma", ["--band", "706"]),
+    ("verify-lemma", ["--p0", "1.75e308", "50", "--band", "0.001"]),
     ("montecarlo", ["--leverage", "0"]),
     ("montecarlo", ["--trials", "0"]),
     ("montecarlo", ["--seed", "-1"]),

@@ -2,13 +2,14 @@
 """Record repeated perfbench runs into one BENCH_<label>.json file.
 
     python3 benchmarks/record.py --label seed --runs 5 [--repo DIR] [--seed 1]
-        [--baseline PARENT --baseline-label LABEL]
+        [--workload NAME ...] [--baseline PARENT --baseline-label LABEL]
 
 Runs the benchmark command of BENCHMARK.json (`python3 perfbench/run.py
 --workload W --seed S --seconds T --trace X`, T its `run_seconds`) unmodified,
 as a subprocess with DIR as its working directory, RUNS times for every
-workload and both trace modes. Runs interleave (every workload and mode
-once, then again), so a slow phase of the host touches all of them alike.
+workload (or each one named by a --workload) and both trace modes. Runs
+interleave (every workload and mode once, then again), so a slow phase of
+the host touches all of them alike.
 The output keeps every run's result line (the last line of stdout) and its
 `env` line verbatim, and per workload and trace mode the min, median and quartiles of
 every metric. DIR defaults to the checkout holding this script; pointing it at
@@ -131,12 +132,17 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per workload and trace mode")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append", dest="workloads",
+                        choices=[w["name"] for w in BENCHMARK["workloads"]],
+                        help="record only this workload; repeatable (default: every workload)")
     parser.add_argument("--baseline", type=Path,
                         help="a second checkout, run in alternating pairs with --repo")
     parser.add_argument("--baseline-label", help="names the baseline's BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be positive")
+    if args.workloads is None:
+        args.workloads = [w["name"] for w in BENCHMARK["workloads"]]
     if (args.baseline is None) != (args.baseline_label is None):
         parser.error("give --baseline and --baseline-label together")
     sides = [(args.label, args.repo.resolve())]
@@ -148,7 +154,7 @@ def main(argv=None) -> int:
 
     runs: dict[str, list[dict]] = {label: [] for label, _ in sides}
     for i in range(args.runs):
-        for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        for workload in args.workloads:
             for trace in TRACE_MODES:
                 # a pair's first side alternates from one run to the next
                 for label, repo in sides[i % 2:] + sides[: i % 2]:
@@ -176,6 +182,7 @@ def write(label: str, runs: list[dict], args: argparse.Namespace, pairs: dict | 
         "seed": args.seed,
         "seconds": BENCHMARK["run_seconds"],
         "runs_per_mode": args.runs,
+        "workloads": args.workloads,
         "env": json.loads(env_line[4:]) if env_line else None,
         "malformed": sum(result is None for result in results),
         "incorrect": sum(result is not None and not result["correct"] for result in results),

@@ -38,7 +38,7 @@ from .domain import DomainError, PricePoint, check_seed
 from .estimation import DEFAULT_GAMMA_FLOOR, WindowConfig
 from .ingest import AdjustmentRule, apply_adjustments, load_csv
 from .spread import CointegrationSpread
-from .synthetic import OUPairSpec, verify_lemma, verify_theorem
+from .synthetic import OUPairSpec, check_price_band, verify_lemma, verify_theorem
 from .trading import THRESHOLD_MODES
 
 EXIT_OK = 0
@@ -317,6 +317,7 @@ def _validate_lemma(cfg: dict) -> tuple[CointegrationSpread, PricePoint]:
     p0 = PricePoint(*cfg["p0"])
     model = CointegrationSpread(cfg["beta"], cfg["mu"])
     check_seed(cfg["seed"])
+    check_price_band(p0, cfg["gamma"], cfg["band"])
     return model, p0
 
 

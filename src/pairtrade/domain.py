@@ -23,14 +23,6 @@ class LengthError(ValueError):
     """A series is too short for the requested computation."""
 
 
-def all_floats(*xs) -> bool:
-    """True when every argument is exactly a Python float: a float path call."""
-    for x in xs:
-        if type(x) is not float:
-            return False
-    return True
-
-
 def finite(x) -> bool:
     """math.isfinite(x), but False for an int beyond the float range, where
     math.isfinite raises OverflowError."""

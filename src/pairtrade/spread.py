@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .domain import LengthError, all_floats, check_finite
+from .domain import LengthError, check_finite
 
 
 class StationaryPointError(RuntimeError):
@@ -100,7 +100,7 @@ def spread_value(model: SpreadModel, p1, p2):
 def spread_gradient(model: SpreadModel, p1, p2):
     """(g1, g2); rejects stationary points, naming the first one."""
     g1, g2 = model.gradient(p1, p2)
-    if all_floats(p1, p2, g1, g2) and (g1 or g2):
+    if type(p1) is type(p2) is type(g1) is type(g2) is float and (g1 or g2):
         return g1, g2
     moves = np.logical_or(g1, g2)
     if not moves.all():
@@ -156,7 +156,7 @@ class CointegrationSpread(SpreadModel):
 
     def gradient(self, p1, p2):
         # a zero price divides by zero: numpy gives inf, Python raises
-        if all_floats(self.beta, p1, p2) and p1 and p2:
+        if type(self.beta) is type(p1) is type(p2) is float and p1 and p2:
             return -self.beta / p1, 1.0 / p2
         return -self.beta / np.asarray(p1, dtype=float), 1.0 / np.asarray(p2, dtype=float)
 
@@ -169,7 +169,7 @@ class CointegrationSpread(SpreadModel):
         """beta - 1, broadcast to the price shape; NaN in a window without a
         fit. The generic sum p1^2 beta / p1^2 - p2^2 / p2^2 is this at every
         price, up to rounding that the closed form does not make."""
-        if all_floats(self.beta, p1, p2):
+        if type(self.beta) is type(p1) is type(p2) is float:
             return self.beta - 1.0
         c = np.asarray(self.beta, dtype=float) - 1.0
         return np.broadcast_to(c, np.broadcast(p1, p2, c).shape)
@@ -183,7 +183,7 @@ class CointegrationSpread(SpreadModel):
         terms have opposite signs for beta > 0, so one alone is the largest,
         and the same sign for beta < 0, so they add.
         """
-        if all_floats(self.beta, p1, p2, gamma) and gamma != 1.0:
+        if type(self.beta) is type(p1) is type(p2) is type(gamma) is float and gamma != 1.0:
             r = gamma / (1.0 - gamma)
             return r * r * (max(self.beta, 1.0) + max(-self.beta, 0.0))
         beta = np.asarray(self.beta, dtype=float)

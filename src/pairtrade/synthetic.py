@@ -264,6 +264,17 @@ class LemmaSummary:
     max_ratio: float
 
 
+def check_price_band(p0: PricePoint, gamma: float, band: float) -> None:
+    """Reject a band and p0 that take a price verify_lemma computes,
+    p0 e^(+-band) (1 +- gamma), out of the finite positive floats."""
+    for name, p in (("p1", p0.p1), ("p2", p0.p2)):
+        with np.errstate(over="ignore", under="ignore"):
+            hi, lo = p * np.exp([band, -band])
+            if not (0.0 < lo - lo * gamma and hi + hi * gamma < math.inf):
+                raise DomainError(f"band {band!r} around p0.{name} = {p!r} with gamma {gamma!r} "
+                                  "takes a price out of the finite positive floats")
+
+
 def verify_lemma(
     model: SpreadModel,
     p0: PricePoint,
@@ -286,6 +297,7 @@ def verify_lemma(
     check_count("samples", samples, 1)
     check_fraction("gamma", gamma)
     check_positive("band", band)
+    check_price_band(p0, gamma, band)
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     logs = rng.uniform(-band, band, size=(2, samples))
@@ -293,16 +305,12 @@ def verify_lemma(
     p1 = p0.p1 * np.exp(logs[0])
     p2 = p0.p2 * np.exp(logs[1])
 
-    bound = np.empty(samples)
-    g1 = np.empty(samples)
-    g2 = np.empty(samples)
+    bound, g1, g2 = np.empty((3, samples))
     for i, (a, b) in enumerate(zip(p1.tolist(), p2.tolist())):
         bound[i] = threshold_exact(model, a, b, gamma, eta=1.0)
         g1[i], g2[i] = spread_gradient(model, a, b)
     s_p = spread_value(model, p1, p2)
-    max_violation = -math.inf
-    max_remainder = 0.0
-    max_ratio = 0.0
+    max_violation, max_remainder, max_ratio = -math.inf, 0.0, 0.0
     positive = bound > 0.0
     # each sample's random displacement, then the four box corners
     g = gamma

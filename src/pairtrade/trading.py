@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .domain import (
-    DomainError, all_floats, check_float, check_non_negative, check_number, check_positive,
+    DomainError, check_float, check_non_negative, check_number, check_positive,
 )
 from .spread import SpreadModel
 
@@ -59,8 +59,6 @@ def _rate(name: str, x, rule: str, ok) -> np.ndarray:
 def _as_arrays(p1, p2, gamma, eta) -> tuple:
     """The checked inputs as float arrays; Python floats that pass stay floats.
     A NaN price passes: the engine gives rows it does not trade NaN prices."""
-    # all_floats spelt out: verify_lemma makes one call per sample, and the
-    # helper's call costs more than the four range checks together
     if (type(p1) is type(p2) is type(gamma) is type(eta) is float
             and 0.0 < p1 < math.inf and 0.0 < p2 < math.inf
             and 0.0 < gamma < 1.0 and math.isfinite(eta)):
@@ -77,7 +75,7 @@ def _per_point(worst, eta):
     float for scalar inputs. Every NaN comes out as the one quiet NaN: which
     of two NaN operands an addition passes on differs between numpy's scalar
     and array loops, so a NaN's payload and sign carry no meaning."""
-    if all_floats(worst, eta):
+    if type(worst) is type(eta) is float:
         tau = worst / (2.0 * eta) if eta > 0.0 else math.inf
         return tau if tau == tau else math.nan
     tau = np.full(np.broadcast(worst, eta).shape, math.inf)

@@ -306,6 +306,30 @@ class TestVerifyLemmaCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--band", "706"], "band 706.0 around p0.p1 = 100.0 with gamma 0.05"),
+        (["--p0", "1.75e308", "50", "--band", "0.001"],
+         "band 0.001 around p0.p1 = 1.75e+308 with gamma 0.05"),
+        (["--p0", "100", "1e-300", "--band", "100"],
+         "band 100.0 around p0.p2 = 1e-300 with gamma 0.05"),
+    ])
+    def test_prices_out_of_the_float_range_validated(self, capsys, argv, message):
+        rc = main(["verify-lemma", "--samples", "100", *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} takes a price out of the finite positive floats\n"
+
+    def test_band_near_the_float_edge_gives_strict_json(self, capsys):
+        # 100 e^705 (1 + 0.05) is finite, 100 e^706 is not: strict JSON
+        # has no Infinity or NaN token
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        assert main(["verify-lemma", "--samples", "1000", "--band", "705"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["max_violation"] <= 1e-12
+
     def test_larger_gamma_weakens_nothing(self, capsys):
         # bound must hold across the gamma range, not just the default
         for gamma in ("0.01", "0.2"):

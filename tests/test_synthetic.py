@@ -15,6 +15,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,13 @@ from hypothesis import strategies as st
 from pairtrade import kernels
 from pairtrade.domain import DomainError, LengthError, PricePoint, return_arrays
 from pairtrade.estimation import estimate_eta
-from pairtrade.spread import CointegrationSpread
+from pairtrade.spread import CointegrationSpread, spread_gradient
 from pairtrade.seeding import CHUNK_TRIALS, _pcg64_seeds, trial_generators
 from pairtrade.stats import _one_sided_p
-from pairtrade.synthetic import OUPairSpec, generate_pair, verify_lemma, verify_theorem
+from pairtrade.synthetic import (
+    LemmaSummary, OUPairSpec, generate_pair, verify_lemma, verify_theorem,
+)
+from pairtrade.trading import threshold_exact
 from spread_models import CosPerturbedSpread, RatioSpread
 
 BASE = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)
@@ -482,7 +486,56 @@ LOG_LINEAR = CointegrationSpread(2.0, 0.0)
 P0 = PricePoint(100.0, 50.0)
 
 
+def edge_band(p: float, gamma: float) -> float:
+    """The largest band whose top price p e^band (1 + gamma), computed the
+    way verify_lemma draws and displaces a price, is finite: bisection over
+    the floats."""
+    lo, hi = 0.0, 1000.0
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        with np.errstate(over="ignore"):
+            top = p * np.exp(np.array([mid]))
+            top = top + top * gamma
+        lo, hi = (mid, hi) if np.isfinite(top[0]) else (lo, mid)
+    return lo
+
+
+def verify_lemma_arrays(model, p0, gamma, samples, band=1.0, seed=0):
+    """verify_lemma with one threshold_exact and one spread_gradient call over
+    all samples: the array path of each, where verify_lemma takes the float
+    path sample by sample."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    logs = rng.uniform(-band, band, size=(2, samples))
+    disp = rng.uniform(-gamma, gamma, size=(2, samples))
+    p1 = p0.p1 * np.exp(logs[0])
+    p2 = p0.p2 * np.exp(logs[1])
+    bound = threshold_exact(model, p1, p2, gamma, eta=1.0)
+    g1, g2 = spread_gradient(model, p1, p2)
+    s_p = model.value(p1, p2)
+    positive = bound > 0.0
+    violation, worst, ratio = -math.inf, 0.0, 0.0
+    for t1, t2 in ((disp[0], disp[1]), (gamma, gamma), (gamma, -gamma), (-gamma, gamma),
+                   (-gamma, -gamma)):
+        d1, d2 = p1 * t1, p2 * t2
+        remainder = np.abs(model.value(p1 + d1, p2 + d2) - s_p - (g1 * d1 + g2 * d2))
+        violation = max(violation, float(np.max(remainder - bound)))
+        worst = max(worst, float(np.max(remainder)))
+        ratio = max(ratio, float(np.max(remainder[positive] / bound[positive], initial=0.0)))
+    return LemmaSummary(samples, gamma, violation, worst, ratio)
+
+
 class TestVerifyLemma:
+    @pytest.mark.parametrize("model", [
+        *(CointegrationSpread(beta, 0.3) for beta in (2.0, 1.0, 0.5, 0.0, -0.5)),
+        RatioSpread(),
+    ], ids=["beta2", "beta1", "beta0.5", "beta0", "beta-0.5", "ratio"])
+    def test_matches_the_array_path_bit_for_bit(self, model):
+        # every field, compared as the bits of its double
+        got = verify_lemma(model, P0, 0.05, samples=3_000, band=1.5, seed=11)
+        want = verify_lemma_arrays(model, P0, 0.05, samples=3_000, band=1.5, seed=11)
+        assert got.samples == want.samples == 3_000
+        bits = [(float.hex(a), float.hex(b)) for a, b in zip(astuple(got)[1:], astuple(want)[1:])]
+        assert all(a == b for a, b in bits), bits
+
     def test_bound_holds(self):
         summary = verify_lemma(LOG_LINEAR, P0, 0.05, samples=2_000)
         assert summary.max_violation <= 1e-12
@@ -538,6 +591,35 @@ class TestVerifyLemma:
     def test_argument_types(self, kw, match):
         with pytest.raises(DomainError, match=match):
             verify_lemma(LOG_LINEAR, P0, **{"gamma": 0.05, "samples": 10, **kw})
+
+    def test_band_at_the_float_edge(self):
+        # the largest accepted band runs to finite results; the next float up
+        # takes p0.p1 = 100 past the largest float and is refused by name
+        edge = edge_band(P0.p1, 0.05)
+        assert 700.0 < edge < 710.0
+        summary = verify_lemma(LOG_LINEAR, P0, 0.05, samples=500, band=edge)
+        assert all(math.isfinite(x) for x in astuple(summary))
+        assert summary.max_violation <= 1e-12
+        refused = r"^band 7\d\d\.\d+ around p0\.p1 = 100\.0 with gamma 0\.05 takes"
+        with pytest.raises(DomainError, match=refused):
+            verify_lemma(LOG_LINEAR, P0, 0.05, samples=500, band=math.nextafter(edge, math.inf))
+
+    @pytest.mark.parametrize("p0, band, name", [
+        # p0 e^band (1 + gamma) overflows, though p0 e^band does not
+        (PricePoint(1.75e308, 50.0), 0.001, "p1"),
+        (PricePoint(100.0, 1.75e308), 0.001, "p2"),
+        # p0 e^-band (1 - gamma) underflows to 0
+        (PricePoint(1e-300, 50.0), 100.0, "p1"),
+        (PricePoint(100.0, 1e-300), 100.0, "p2"),
+    ])
+    def test_prices_out_of_the_float_range_refused_before_any_draw(
+            self, monkeypatch, p0, band, name):
+        def no_draws(*args):
+            raise AssertionError("drew before the band check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(DomainError, match=rf"^band {band!r} around p0\.{name} = "):
+            verify_lemma(LOG_LINEAR, p0, 0.05, samples=10, band=band)
 
     def test_ratio_spread_bound_holds(self):
         # S = p2/p1 - 0.5: the Hessian's magnitude is monotone over the box

@@ -99,3 +99,22 @@ def test_traced_montecarlo_finds_the_moved_layers(perfbench):
     assert snap["synthetic.trial_generators_calls"] == 1
     assert snap["synthetic.verify_theorem_calls"] == 1
     assert snap["kernels.trade_scan_calls"] == snap["kernels.ou_recursion_calls"] == 2
+
+
+def test_traced_lemma_makes_one_scalar_call_of_each_per_sample(perfbench):
+    # verify_lemma loops over its samples on the float path: one threshold
+    # and one gradient call each, and the one PricePoint the CLI builds for
+    # p0. A pass over whole arrays would change these counts.
+    tracer = perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify-lemma", "--samples", "50"]) == 0
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert tracer.absent == []
+    assert snap["synthetic.verify_lemma_calls"] == 1
+    assert snap["trading.threshold_exact_calls"] == 50
+    assert snap["spread.spread_gradient_calls"] == 50
+    assert snap["domain.PricePoint_calls"] == 1
