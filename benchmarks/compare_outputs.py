@@ -35,7 +35,10 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   1000th row
 - failing `backtest` calls on the bad CSVs of `write_bad_inputs`: a bad
   number in the second chunk of `READ_CHUNK` records, a date out of order
-  at that chunk's first row, a row of wrong arity and an empty file
+  at that chunk's first row, a row of wrong arity, an empty file, an empty
+  date, a zero price, a `nan` price, a bad number right after blank lines,
+  and a negative price before a field too large for the csv module, which
+  raises its own error later in the file
 - the invalid settings in `ERROR_CALLS`, which must fail alike: `backtest`
   on the `backtest` pair with a window too short, a bad adjustment, a zero
   gamma floor, an infinite initial value and a gamma of 1, alone and with a
@@ -61,13 +64,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # the program's own edges, from the pairtrade of this checkout, so that the
-# edge inputs follow a change to them: READ_CHUNK data records parsed per
-# pass of load_csv, WRITE_CHUNK rows formatted per write call and TILE
-# periods per tile of trade_scan
+# edge inputs follow a change to them: WRITE_CHUNK rows formatted per write
+# call and TILE periods per tile of trade_scan
 sys.path.insert(0, str(ROOT / "src"))
 from pairtrade.backtest import WRITE_CHUNK, BacktestConfig, run_backtest  # noqa: E402
-from pairtrade.ingest import READ_CHUNK, load_csv  # noqa: E402
+from pairtrade.ingest import load_csv  # noqa: E402
 from pairtrade.kernels import TILE  # noqa: E402
+
+# data records per pass of the column parser load_csv once had; the ingest
+# inputs keep their faults and blank lines at its chunk edge
+READ_CHUNK = 512
 
 CLI = "import sys; from pairtrade.cli import main; sys.exit(main(sys.argv[1:]))"
 CALL_TIMEOUT_S = 600
@@ -189,6 +195,26 @@ def write_bad_inputs(source: Path, data: Path) -> list[Path]:
     bad["bad-order"] = order
     bad["bad-arity"] = [*lines, lines[-1].rsplit(",", 1)[0]]
     bad["bad-empty"] = []
+
+    def with_row(i, date=None, p1=None, p2=None):
+        """lines with fields of data row i replaced."""
+        out = list(lines)
+        fields = out[i + 1].split(",")
+        out[i + 1] = ",".join(field if given is None else given
+                              for given, field in zip((date, p1, p2), fields))
+        return out
+
+    bad["bad-empty-date"] = with_row(READ_CHUNK + 20, date=" ")
+    bad["bad-zero-price"] = with_row(READ_CHUNK + 30, p1="0")
+    bad["bad-nan-price"] = with_row(40, p2="nan")
+    # three blank lines, then a bad number on data row READ_CHUNK
+    blanks = with_row(READ_CHUNK, p1="1.0.0")
+    blanks[READ_CHUNK + 1:READ_CHUNK + 1] = [""] * 3
+    bad["bad-after-blanks"] = blanks
+    # a field over the csv module's default limit of 131072 characters
+    csv_error = with_row(100, p2="-1.5")
+    csv_error[READ_CHUNK + 61] = "x" * 200_000 + ",1,1"
+    bad["bad-before-csv-error"] = csv_error
     paths = []
     for stem, rows in bad.items():
         path = data / f"{stem}.csv"

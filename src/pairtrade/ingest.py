@@ -11,15 +11,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .domain import DomainError, PriceSeries, check_number, check_positive
 
 EXPECTED_HEADER = ("date", "p1", "p2")
-# data records parsed per pass of load_csv: a chunk's record lists stay
-# below the garbage collector's default threshold of 700 new containers, so
-# reading a chunk starts no collection
-READ_CHUNK = 512
 
 
 class FormatError(ValueError):
@@ -75,80 +70,51 @@ def load_csv(path) -> PriceSeries:
     """Parse a price CSV; raises FormatError / RowError / OrderingError.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write it, is skipped.
+    Each record is checked as it is read: the error names the first faulty line.
     """
-    series = _load_columns(path)
-    # on any fault, a row-by-row read raises the first one in file order
-    return series if series is not None else _load_rows(path)
-
-
-def _load_columns(path) -> PriceSeries | None:
-    """The series of a well-formed file, else None: records are split into
-    columns READ_CHUNK at a time, and the columns are checked whole."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         _read_header(reader)
         dates: list[str] = []
         p1: list[float] = []
         p2: list[float] = []
-        try:
-            for rows in iter(lambda: list(islice(reader, READ_CHUNK)), []):
-                rows = list(filter(None, rows))  # drop blank lines
-                if not rows:
-                    continue
-                if set(map(len, rows)) != {3}:
-                    return None
-                d, a, b = zip(*rows)
-                dates.extend(map(str.strip, d))
-                p1.extend(map(float, a))
-                p2.extend(map(float, b))
-        except (ValueError, csv.Error):
-            return None
-    if not dates:
-        raise FormatError("no data rows")
-    if not all(dates):
-        return None
-    try:
-        # checks that the prices are finite and positive and the dates increase
-        return PriceSeries(dates, p1, p2)
-    except DomainError:
-        return None
-
-
-def _load_rows(path) -> PriceSeries:
-    """load_csv one row at a time, checking each row as it is read."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader)
-        dates: list[str] = []
-        p1: list[float] = []
-        p2: list[float] = []
+        last = ""  # sorts before every date but the empty one
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise RowError(line_no, f"expected 3 fields, got {len(row)}")
-            date = row[0].strip()
-            if not date:
-                raise RowError(line_no, "empty date")
-            vals = []
-            for name, text in (("p1", row[1]), ("p2", row[2])):
-                try:
-                    x = float(text)
-                except ValueError:
-                    raise RowError(line_no, f"{name} is not a number: {text!r}") from None
-                if not (math.isfinite(x) and x > 0.0):
-                    raise RowError(line_no, f"{name} must be finite and positive, got {text!r}")
-                vals.append(x)
-            if dates and not (dates[-1] < date):
-                raise OrderingError(
-                    f"line {line_no}: date {date!r} does not increase over {dates[-1]!r}"
-                )
+            try:
+                date, a, b = row
+                x = float(a)
+                y = float(b)
+            except ValueError:
+                raise _row_fault(line_no, row, last) from None
+            date = date.strip()
+            if not (0.0 < x < math.inf and 0.0 < y < math.inf and last < date):
+                raise _row_fault(line_no, row, last)
             dates.append(date)
-            p1.append(vals[0])
-            p2.append(vals[1])
+            p1.append(x)
+            p2.append(y)
+            last = date
     if not dates:
         raise FormatError("no data rows")
-    return PriceSeries(tuple(dates), p1, p2)
+    return PriceSeries(dates, p1, p2)
+
+
+def _row_fault(line_no: int, row: list[str], last: str) -> ValueError:
+    """The first fault, in load_csv's order, of a record after the date last."""
+    if len(row) != 3:
+        return RowError(line_no, f"expected 3 fields, got {len(row)}")
+    date = row[0].strip()
+    if not date:
+        return RowError(line_no, "empty date")
+    for name, text in (("p1", row[1]), ("p2", row[2])):
+        try:
+            x = float(text)
+        except ValueError:
+            return RowError(line_no, f"{name} is not a number: {text!r}")
+        if not 0.0 < x < math.inf:
+            return RowError(line_no, f"{name} must be finite and positive, got {text!r}")
+    return OrderingError(f"line {line_no}: date {date!r} does not increase over {last!r}")
 
 
 def apply_adjustments(series: PriceSeries, rules) -> PriceSeries:

@@ -275,6 +275,8 @@ def check_price_band(p0: PricePoint, gamma: float, band: float) -> None:
                                   "takes a price out of the finite positive floats")
 
 
+# an overflow is not warned of: its remainder, which max() drops, is refused
+@np.errstate(over="ignore", invalid="ignore")
 def verify_lemma(
     model: SpreadModel,
     p0: PricePoint,
@@ -292,7 +294,8 @@ def verify_lemma(
     curvature bound. The bound equals eta * tau_exact for any positive eta,
     which cancels to a rate-free quantity; it is evaluated here via tau_exact
     at eta = 1. The four box corners of each point are always checked
-    alongside the random draw.
+    alongside the random draw. A remainder that is not finite, or a NaN
+    bound, raises DomainError naming the first such sample's prices.
     """
     check_count("samples", samples, 1)
     check_fraction("gamma", gamma)
@@ -312,15 +315,21 @@ def verify_lemma(
     s_p = spread_value(model, p1, p2)
     max_violation, max_remainder, max_ratio = -math.inf, 0.0, 0.0
     positive = bound > 0.0
+    bad = np.isnan(bound)
     # each sample's random displacement, then the four box corners
     g = gamma
     for t1, t2 in ((disp[0], disp[1]), (g, g), (g, -g), (-g, g), (-g, -g)):
         d1 = p1 * t1
         d2 = p2 * t2
         remainder = np.abs(spread_value(model, p1 + d1, p2 + d2) - s_p - (g1 * d1 + g2 * d2))
+        bad |= ~np.isfinite(remainder)
         max_violation = max(max_violation, float(np.max(remainder - bound)))
         max_remainder = max(max_remainder, float(np.max(remainder)))
         max_ratio = max(max_ratio, float(np.max(remainder[positive] / bound[positive], initial=0.0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"the first-order remainder is not finite, or its bound is NaN, at "
+                          f"p1 = {p1[i].item()!r}, p2 = {p2[i].item()!r} (sample {i})")
     return LemmaSummary(
         samples=samples,
         gamma=gamma,

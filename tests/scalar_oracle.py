@@ -16,6 +16,10 @@ paths that wrote those rows, one field list per row.
 threshold_exact_grid is the exact threshold from before spread models gave
 their own curvature bound: a 41 x 41 mesh scan of the box that takes the
 Hessian at the displaced point only.
+
+load_csv is the ingest row loop that worded every error while the package
+parsed a file by column and read it again on a fault: one record at a time,
+each check a statement of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 from scipy import stats
 
 from pairtrade.backtest import LEDGER_COLUMNS, buy_and_hold
-from pairtrade.domain import return_arrays
+from pairtrade.domain import PriceSeries, return_arrays
+from pairtrade.ingest import FormatError, OrderingError, RowError, _read_header
 from pairtrade.spread import CointegrationSpread, spread_gradient, spread_hessian, spread_value
 from pairtrade.trading import allocate, threshold_approx, threshold_exact
 
@@ -322,3 +327,40 @@ def write_plot_csv(path, series, rows, initial_value):
         for k in range(len(series)):
             value = initial_value if k < first else rows[k - first].value
             writer.writerow([k, series.dates[k], _fmt(value), _fmt(bh1[k]), _fmt(bh2[k])])
+
+
+def load_csv(path) -> PriceSeries:
+    """load_csv one row at a time, checking each row as it is read."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        _read_header(reader)
+        dates: list[str] = []
+        p1: list[float] = []
+        p2: list[float] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise RowError(line_no, f"expected 3 fields, got {len(row)}")
+            date = row[0].strip()
+            if not date:
+                raise RowError(line_no, "empty date")
+            vals = []
+            for name, text in (("p1", row[1]), ("p2", row[2])):
+                try:
+                    x = float(text)
+                except ValueError:
+                    raise RowError(line_no, f"{name} is not a number: {text!r}") from None
+                if not (math.isfinite(x) and x > 0.0):
+                    raise RowError(line_no, f"{name} must be finite and positive, got {text!r}")
+                vals.append(x)
+            if dates and not (dates[-1] < date):
+                raise OrderingError(
+                    f"line {line_no}: date {date!r} does not increase over {dates[-1]!r}"
+                )
+            dates.append(date)
+            p1.append(vals[0])
+            p2.append(vals[1])
+    if not dates:
+        raise FormatError("no data rows")
+    return PriceSeries(tuple(dates), p1, p2)

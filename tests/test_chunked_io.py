@@ -1,8 +1,9 @@
-"""Chunked CSV ingest and writers against their row-at-a-time references.
+"""Ingest and the chunked writers against their row-at-a-time references.
 
-load_csv parses READ_CHUNK records per pass and checks whole columns; on a
-fault it falls back to the row loop, ingest._load_rows, which is also the
-reference here. The writers format WRITE_CHUNK rows per call and must match
+load_csv reads a file once and checks each record as it reads it; it must
+return the series scalar_oracle.load_csv, the row loop with one statement
+per check, returns, or raise its error with the same type, line and
+message. The writers format WRITE_CHUNK rows per call and must match
 scalar_oracle's csv.writer writers, one row at a time, byte for byte. Most
 cases sit at chunk edges.
 """
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
+from pairtrade import ingest
 from pairtrade.backtest import (
     LEDGER_COLUMNS,
     WRITE_CHUNK,
@@ -25,7 +27,7 @@ from pairtrade.backtest import (
     write_plot_csv,
 )
 from pairtrade.domain import PriceSeries
-from pairtrade.ingest import READ_CHUNK, FormatError, _load_rows, load_csv
+from pairtrade.ingest import FormatError, load_csv
 from pairtrade.synthetic import OUPairSpec, generate_pair
 
 SPEC = dict(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, mu_true=0.0, gamma_cap=0.05)
@@ -188,6 +190,9 @@ class TestWriterRuns:
 
 
 HEADER = "date,p1,p2"
+# records per pass of the column parser load_csv once had: the ingest cases
+# keep their faults and blank lines at its chunk edges
+READ_CHUNK = 512
 
 
 def good_rows(n):
@@ -205,7 +210,7 @@ def same_outcome(path):
     """load_csv on path raises what the row loop raises, or returns the
     same series."""
     try:
-        expected = _load_rows(path)
+        expected = scalar_oracle.load_csv(path)
     except ValueError as err:
         with pytest.raises(type(err)) as got:
             load_csv(path)
@@ -258,7 +263,7 @@ class TestIngest:
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         # a date out of order in the first chunk comes before a bad number
-        # in the second, which the column pass meets first
+        # in the second
         lines = good_rows(2 * READ_CHUNK)
         lines[10] = lines[9]
         lines[READ_CHUNK + 7] = "000000,oops,1"
@@ -271,6 +276,42 @@ class TestIngest:
         lines[100] = "000100,0,1"
         lines[READ_CHUNK + 1] = "x" * 200_000 + ",1,1"
         assert "line 102:" in str(same_outcome(write_lines(tmp_path / "bad.csv", lines)))
+
+    def test_decode_error_after_a_fault(self, tmp_path):
+        # bytes that are not UTF-8 at the end of the file, which the decoder
+        # reaches after the fault, do not hide it
+        def with_bad_bytes(lines):
+            path = write_lines(tmp_path / "bad.csv", lines)
+            with path.open("ab") as fh:
+                fh.write(b"\xff\xfe,1,1\n")
+            return path
+
+        lines = good_rows(2 * READ_CHUNK)
+        with pytest.raises(UnicodeDecodeError):
+            with_bad_bytes(lines).read_text(encoding="utf-8")
+        # without a fault, the decoder's own error
+        assert isinstance(same_outcome(with_bad_bytes(lines)), UnicodeDecodeError)
+        lines[100] = "000100,0,1"
+        assert "line 102:" in str(same_outcome(with_bad_bytes(lines)))
+
+    def test_file_opened_once(self, tmp_path, monkeypatch):
+        # a faulty file is not read a second time to word its error
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", recording_open, raising=False)
+        for fault in [None, *sorted(FAULTS)]:
+            lines = good_rows(READ_CHUNK + 5)
+            if fault is not None:
+                date, prev = (lines[i].split(",")[0] for i in (READ_CHUNK, READ_CHUNK - 1))
+                lines[READ_CHUNK] = FAULTS[fault](date, prev)
+            path = write_lines(tmp_path / "once.csv", lines)
+            opened.clear()
+            same_outcome(path)
+            assert opened == [path], fault
 
     @pytest.mark.parametrize("rows", [READ_CHUNK - 1, READ_CHUNK, 2 * READ_CHUNK + 1])
     def test_good_file_with_blank_lines(self, tmp_path, rows):

@@ -6,6 +6,8 @@ Exit code contract: 0 success, 1 usage/validation rejection before any work,
 
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -319,6 +321,20 @@ class TestVerifyLemmaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message} takes a price out of the finite positive floats\n"
+
+    def test_remainder_that_is_not_finite_is_a_runtime_error(self, capsys):
+        # -beta / p1 overflows at the subnormal p1: no summary, one error line
+        # and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify-lemma", "--samples", "100", "--p0", "5e-324", "50",
+                       "--band", "0.001"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: DomainError: the first-order remainder is not finite, or "
+                            r"its bound is NaN, at p1 = 5e-324, p2 = \S+ \(sample 0\)\n",
+                            captured.err)
 
     def test_band_near_the_float_edge_gives_strict_json(self, capsys):
         # 100 e^705 (1 + 0.05) is finite, 100 e^706 is not: strict JSON

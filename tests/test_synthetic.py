@@ -15,6 +15,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairtrade import kernels
+from pairtrade import kernels, synthetic
 from pairtrade.domain import DomainError, LengthError, PricePoint, return_arrays
 from pairtrade.estimation import estimate_eta
 from pairtrade.spread import CointegrationSpread, spread_gradient
@@ -499,15 +500,19 @@ def edge_band(p: float, gamma: float) -> float:
     return lo
 
 
+def lemma_draws(p0, gamma, samples, band, seed):
+    """The sample points (p1, p2) and displacements verify_lemma draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    logs = rng.uniform(-band, band, size=(2, samples))
+    disp = rng.uniform(-gamma, gamma, size=(2, samples))
+    return p0.p1 * np.exp(logs[0]), p0.p2 * np.exp(logs[1]), disp
+
+
 def verify_lemma_arrays(model, p0, gamma, samples, band=1.0, seed=0):
     """verify_lemma with one threshold_exact and one spread_gradient call over
     all samples: the array path of each, where verify_lemma takes the float
     path sample by sample."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    logs = rng.uniform(-band, band, size=(2, samples))
-    disp = rng.uniform(-gamma, gamma, size=(2, samples))
-    p1 = p0.p1 * np.exp(logs[0])
-    p2 = p0.p2 * np.exp(logs[1])
+    p1, p2, disp = lemma_draws(p0, gamma, samples, band, seed)
     bound = threshold_exact(model, p1, p2, gamma, eta=1.0)
     g1, g2 = spread_gradient(model, p1, p2)
     s_p = model.value(p1, p2)
@@ -536,6 +541,14 @@ class TestVerifyLemma:
         assert got.samples == want.samples == 3_000
         bits = [(float.hex(a), float.hex(b)) for a, b in zip(astuple(got)[1:], astuple(want)[1:])]
         assert all(a == b for a, b in bits), bits
+        # the maxima miss a one-ulp change at most points: each point's
+        # bound and gradient, float path against array path
+        p1, p2, _ = lemma_draws(P0, 0.05, 3_000, 1.5, 11)
+        floats = [(threshold_exact(model, a, b, 0.05, eta=1.0), *spread_gradient(model, a, b))
+                  for a, b in zip(p1.tolist(), p2.tolist())]
+        arrays = zip(threshold_exact(model, p1, p2, 0.05, eta=1.0).tolist(),
+                     *(g.tolist() for g in spread_gradient(model, p1, p2)))
+        assert [tuple(map(float.hex, f)) for f in floats] == [tuple(map(float.hex, a)) for a in arrays]
 
     def test_bound_holds(self):
         summary = verify_lemma(LOG_LINEAR, P0, 0.05, samples=2_000)
@@ -621,6 +634,36 @@ class TestVerifyLemma:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(DomainError, match=rf"^band {band!r} around p0\.{name} = "):
             verify_lemma(LOG_LINEAR, p0, 0.05, samples=10, band=band)
+
+    @pytest.mark.parametrize("p0", [PricePoint(5e-324, 50.0), PricePoint(50.0, 5e-324)],
+                             ids=["p1", "p2"])
+    def test_remainder_that_is_not_finite_refused(self, p0):
+        # the gradient overflows at a subnormal price, so every remainder is
+        # NaN or infinite: no maxima that drop them, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^the first-order remainder is not finite, "
+                                                  r"or its bound is NaN, at p1 = \S+, p2 = \S+ "
+                                                  r"\(sample 0\)$"):
+                verify_lemma(LOG_LINEAR, p0, 0.05, samples=100, band=0.001)
+
+    @pytest.mark.parametrize("name, fault", [
+        ("threshold_exact", lambda: math.nan),
+        ("spread_gradient", lambda: (math.inf, 1.0)),
+    ], ids=["bound", "gradient"])
+    def test_first_sample_refused_by_its_prices(self, monkeypatch, name, fault):
+        # samples 3 on take a NaN bound or an infinite gradient; the error
+        # names sample 3's prices
+        calls = iter(range(10))
+        real = getattr(synthetic, name)
+        monkeypatch.setattr(synthetic, name,
+                            lambda *args, **kw: fault() if next(calls) >= 3 else real(*args, **kw))
+        p1, p2, _ = lemma_draws(P0, 0.05, 10, 1.0, 0)
+        message = (f"the first-order remainder is not finite, or its bound is NaN, at "
+                   f"p1 = {float(p1[3])!r}, p2 = {float(p2[3])!r} (sample 3)")
+        with pytest.raises(DomainError) as err:
+            verify_lemma(LOG_LINEAR, P0, 0.05, samples=10)
+        assert str(err.value) == message
 
     def test_ratio_spread_bound_holds(self):
         # S = p2/p1 - 0.5: the Hessian's magnitude is monotone over the box
