@@ -10,9 +10,11 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
 
 - `backtest` on every one of those inputs, in both threshold modes
 - `backtest` on the `backtest` pair with each of the settings in
-  `BACKTEST_SETTINGS` (every window a one-row block, a partial last block,
-  leverage high enough that windows go untradeable with a warning, a fixed
-  gamma), and on `flat_p1.csv`, whose p1 stands still over rows 100-159 so
+  `BACKTEST_SETTINGS` (every window a one-row block, at train_len 3 and at
+  the default, where most estimate columns have no runs of equal bits;
+  every estimate repeated once, at the ledger writer's half cut for runs;
+  a partial last block; leverage high enough that windows go untradeable
+  with a warning; a fixed gamma), and on `flat_p1.csv`, whose p1 stands still over rows 100-159 so
   that five windows have no fit, and on `halting.csv`, the `backtest` pair
   with p2 30 times higher after a row past the middle that holds p2 short
   in both modes, so that the account goes below zero and trading halts
@@ -80,6 +82,8 @@ CALL_TIMEOUT_S = 600
 # extra backtest settings run on the backtest pair
 BACKTEST_SETTINGS = {
     "train3-trade1": ["--train-len", "3", "--trade-len", "1"],
+    "trade1": ["--trade-len", "1"],
+    "trade2": ["--trade-len", "2"],
     "trade7": ["--trade-len", "7"],
     "leverage25": ["--leverage", "25"],
     "leverage50": ["--leverage", "50"],

@@ -19,6 +19,7 @@ import logging
 import math
 import re
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -313,43 +314,68 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _bits(col: np.ndarray) -> np.ndarray:
+    """The numeric column viewed as unsigned integers of its item size:
+    equal bits, not ==, so -0.0 and 0.0 differ and a NaN equals itself."""
+    return col.view(f"u{col.itemsize}")
+
+
 def _has_runs(col) -> bool:
-    """True for a float64 column where at least half the values have the
-    bits of the value before them, as a window's estimates do."""
-    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+    """True for a numeric column where at least half the values have the
+    bits of the value before them, as a window's estimates and the active
+    flags do."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "biuf"):
         return False
-    bits = col.view(np.int64)
+    bits = _bits(col)
     return 0 < len(col) <= 2 * int(np.count_nonzero(bits[1:] == bits[:-1]))
 
 
-def _run_texts(col: np.ndarray, fmt: str) -> list:
-    """The column formatted by fmt, one %-format call for the first value of
-    each run of equal bits (so -0.0 and 0.0 stay apart), repeated over the
-    run."""
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = ((fmt + "\n") * len(starts) % tuple(col[starts].tolist())).split("\n")[:-1]
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(col))).tolist()
+def _run_texts(cols: tuple, fmt: str) -> list:
+    """Consecutive run columns as the text of one field, their formats
+    joined by commas in fmt: one %-format call for the first row of each
+    run, repeated over the run. A run starts wherever the bits of any of
+    the columns change."""
+    rows = len(cols[0])
+    new = np.zeros(rows, dtype=bool)
+    new[0] = True
+    for col in cols:
+        bits = _bits(col)
+        new[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(new)
+    width = len(cols)
+    flat = [None] * (len(starts) * width)
+    for c, col in enumerate(cols):
+        flat[c::width] = col[starts].tolist()
+    texts = ((fmt + "\n") * len(starts) % tuple(flat)).split("\n")[:-1]
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=rows)).tolist()
 
 
 def _write_rows(fh, fields: tuple, columns: list) -> None:
     """Write one row per index of the columns, each a numpy array or a tuple
     of date labels, the field of column c formatted by fields[c]: one
-    %-format call per WRITE_CHUNK rows. A column with runs (see _has_runs)
-    goes in as text from _run_texts."""
-    width = len(columns)
+    %-format call per WRITE_CHUNK rows. Consecutive columns with runs (see
+    _has_runs) go in as one field, text from _run_texts."""
     rows = len(columns[0])
-    runs = [_has_runs(col) for col in columns]
-    row = ",".join("%s" if run else fmt for fmt, run in zip(fields, runs)) + "\n"
+    # per output field: its format in the row, the format of a run field's
+    # text (None for a single column) and its columns
+    out = []
+    for run, group in groupby(zip(fields, columns), key=lambda field: _has_runs(field[1])):
+        fmts, cols = zip(*group)
+        if run:
+            out.append(("%s", ",".join(fmts), cols))
+        else:
+            out.extend((fmt, None, col) for fmt, col in zip(fmts, cols))
+    width = len(out)
+    row = ",".join(fmt for fmt, _, _ in out) + "\n"
     for i in range(0, rows, WRITE_CHUNK):
         j = min(i + WRITE_CHUNK, rows)
         flat = [None] * ((j - i) * width)
-        for c, col in enumerate(columns):
-            if isinstance(col, tuple):
+        for c, (_, run_fmt, col) in enumerate(out):
+            if run_fmt is not None:
+                flat[c::width] = _run_texts(tuple(member[i:j] for member in col), run_fmt)
+            elif isinstance(col, tuple):
                 col = col[i:j]
                 flat[c::width] = map(_csv_field, col) if _NEEDS_QUOTES("".join(col)) else col
-            elif runs[c]:
-                flat[c::width] = _run_texts(col[i:j], fields[c])
             else:
                 flat[c::width] = col[i:j].tolist()
         fh.write((row * (j - i)) % tuple(flat))

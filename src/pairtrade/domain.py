@@ -135,6 +135,18 @@ class PriceSeries:
             raise DomainError(
                 f"dates must be strictly increasing, got {dates[i - 1]!r} before {dates[i]!r}"
             )
+        self._fill(dates, p1, p2)
+
+    @classmethod
+    def _checked(cls, dates: tuple, p1: np.ndarray, p2: np.ndarray) -> "PriceSeries":
+        """A series of columns that already pass __init__'s checks, taken as
+        they are: a tuple of str dates and two one-dimensional float64
+        arrays of equal length, which are made read-only."""
+        series = object.__new__(cls)
+        series._fill(dates, p1, p2)
+        return series
+
+    def _fill(self, dates, p1, p2) -> None:
         p1.flags.writeable = False
         p2.flags.writeable = False
         object.__setattr__(self, "dates", dates)
@@ -161,11 +173,9 @@ class PriceSeries:
         series, so the price arrays are read-only views."""
         if not (0 <= start < stop <= len(self)):
             raise LengthError(f"window [{start}, {stop}) out of range for length {len(self)}")
-        sub = object.__new__(PriceSeries)
-        object.__setattr__(sub, "dates", self.dates[start:stop])
-        object.__setattr__(sub, "p1", self.p1[start:stop])
-        object.__setattr__(sub, "p2", self.p2[start:stop])
-        return sub
+        return PriceSeries._checked(
+            self.dates[start:stop], self.p1[start:stop], self.p2[start:stop]
+        )
 
     def __repr__(self) -> str:
         return f"PriceSeries(n={len(self)}, first={self.dates[0]!r}, last={self.dates[-1]!r})"

@@ -12,6 +12,8 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import DomainError, PriceSeries, check_number, check_positive
 
 EXPECTED_HEADER = ("date", "p1", "p2")
@@ -97,7 +99,8 @@ def load_csv(path) -> PriceSeries:
             last = date
     if not dates:
         raise FormatError("no data rows")
-    return PriceSeries(dates, p1, p2)
+    # the records passed every check PriceSeries makes
+    return PriceSeries._checked(tuple(dates), np.array(p1), np.array(p2))
 
 
 def _row_fault(line_no: int, row: list[str], last: str) -> ValueError:

@@ -48,6 +48,8 @@ def ou_recursion(s, w, theta, sigma_s, sigma_w, s0, w0):
     shocks = s[1:]
     shocks *= sigma_s
     s[0] = s0
+    w[1:] *= sigma_w
+    w[0] = w0
     if paths == 1:
         sk = float(s[0, 0])
         path = []
@@ -55,16 +57,17 @@ def ou_recursion(s, w, theta, sigma_s, sigma_w, s0, w0):
             sk = sk * one_minus_theta + shock
             path.append(sk)
         s[1:, 0] = path
+        # w(k) + sigma_w v(k) down the one column, which is contiguous
+        np.cumsum(w, axis=0, out=w)
     else:
-        # shock + (1 - theta) s(k): the same double as the other order
+        # shock + (1 - theta) s(k): the same double as the other order. w
+        # accumulates row by row too: cumsum over axis 0 of a C-contiguous
+        # block walks it column by column, several times slower
         pull = np.empty(paths)
         for k in range(steps):
             np.multiply(s[k], one_minus_theta, out=pull)
             s[k + 1] += pull
-    w[1:] *= sigma_w
-    w[0] = w0
-    # add.accumulate runs down axis 0 one row at a time: w(k) + sigma_w v(k)
-    np.cumsum(w, axis=0, out=w)
+            w[k + 1] += w[k]
     return s, w
 
 

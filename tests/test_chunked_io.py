@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from pairtrade import ingest
+from pairtrade import backtest, ingest
 from pairtrade.backtest import (
     LEDGER_COLUMNS,
     WRITE_CHUNK,
@@ -145,9 +145,10 @@ def runs_of(values, length, rows):
 
 
 class TestWriterRuns:
-    """A float column where at least half the values have the bits of the
-    value before them is formatted once per run; each case is checked
-    against the csv.writer writers."""
+    """A numeric column where at least half the values have the bits of the
+    value before them is formatted once per run, and consecutive such
+    columns as one field; each case is checked against the csv.writer
+    writers."""
 
     def check(self, tmp_path, col, runs=True):
         col = np.asarray(col, dtype=float)
@@ -187,6 +188,72 @@ class TestWriterRuns:
 
     def test_empty_ledger(self, tmp_path):
         self.check(tmp_path, np.array([]), runs=False)
+
+    def check_fields(self, tmp_path, monkeypatch, **cols):
+        """odd_ledger with active alternating, so that it has no runs, and
+        cols in place of the columns they name, written as the csv.writer
+        writers write it; returns the format of each run field of the
+        ledger, chunk after chunk."""
+        rows = len(next(iter(cols.values())))
+        ledger = dataclasses.replace(odd_ledger(rows), **{"active": np.arange(rows) % 2 == 0,
+                                                          **cols})
+        series = PriceSeries(quoted_dates(rows + 40), np.ones(rows + 40), np.ones(rows + 40))
+        check_writers(tmp_path, series, ledger)
+        formats = []
+
+        def recording(cols, fmt):
+            formats.append(fmt)
+            return run_texts(cols, fmt)
+
+        run_texts = backtest._run_texts
+        monkeypatch.setattr(backtest, "_run_texts", recording)
+        write_ledger_csv(ledger, tmp_path / "fields.csv")
+        assert (tmp_path / "fields.csv").read_bytes() == (tmp_path / "ledger.csv").read_bytes()
+        return formats
+
+    def test_merged_field_breaks_where_either_column_does(self, tmp_path, monkeypatch):
+        # runs of 5 and runs of 3: one field, a new text at every break of
+        # either column
+        threshold, beta = runs_of(np.arange(20.0), 5, 100), runs_of(np.arange(34.0) + 0.5, 3, 100)
+        assert _has_runs(threshold) and _has_runs(beta)
+        fields = self.check_fields(tmp_path, monkeypatch, threshold=threshold, beta=beta)
+        assert fields == ["%.10g,%.10g"]
+
+    def test_column_without_runs_splits_the_field(self, tmp_path, monkeypatch):
+        # run, non-run, run: two fields of one column each
+        fields = self.check_fields(tmp_path, monkeypatch, threshold=runs_of(np.arange(20.0), 5, 100),
+                                   mu=runs_of(np.arange(25.0), 4, 100))
+        assert fields == ["%.10g", "%.10g"]
+
+    @pytest.mark.parametrize("length, runs", [(1, False), (4, True)])
+    def test_active_runs(self, tmp_path, monkeypatch, length, runs):
+        # runs of flags, or flags that alternate
+        active = np.resize(np.repeat([True, False], length), 100)
+        assert _has_runs(active) is runs
+        fields = self.check_fields(tmp_path, monkeypatch, active=active)
+        assert fields == ["%d"] * runs
+
+    def test_merged_field_across_the_chunk_edge(self, tmp_path, monkeypatch):
+        # every estimate column breaks at its own rows, and one run of all
+        # of them spans the chunk edge
+        rows = 2 * WRITE_CHUNK + 3
+        names = ("threshold", "beta", "mu", "gamma", "eta")
+        cols = {name: runs_of(np.arange(rows) * (i + 1.5), i + 2, rows)
+                for i, name in enumerate(names)}
+        for col in cols.values():
+            col[WRITE_CHUNK - 50 : WRITE_CHUNK + 50] = -0.0
+        fields = self.check_fields(tmp_path, monkeypatch, **cols)
+        assert fields == [",".join(["%.10g"] * len(names))] * 3
+
+    @pytest.mark.parametrize("mu", [runs_of([0.0, -0.0, -0.0, 0.0, 1.5], 3, 100),
+                                    runs_of(NANS, 4, 100)], ids=["signed-zeros", "nans"])
+    def test_signed_zeros_and_nans_in_a_merged_field(self, tmp_path, monkeypatch, mu):
+        # -0.0 next to 0.0, or NaNs of different bits, in the middle member
+        # break the field as any other change of bits does; one case each,
+        # since a NaN that broke every row would hide a missed signed zero
+        fields = self.check_fields(tmp_path, monkeypatch, beta=runs_of([0.5, 2.0], 10, 100),
+                                   mu=mu, gamma=runs_of([0.25], 100, 100))
+        assert fields == ["%.10g,%.10g,%.10g"]
 
 
 HEADER = "date,p1,p2"
@@ -340,6 +407,19 @@ class TestIngest:
     def test_header_only(self, tmp_path, lines):
         err = same_outcome(write_lines(tmp_path / "empty.csv", lines))
         assert isinstance(err, FormatError) and str(err) == "no data rows"
+
+    def test_series_from_checked_columns(self, tmp_path):
+        # load_csv builds the series from the columns it has checked
+        lines = good_rows(READ_CHUNK + 5)
+        series = load_csv(write_lines(tmp_path / "good.csv", lines))
+        assert type(series.dates) is tuple and all(type(d) is str for d in series.dates)
+        for prices in (series.p1, series.p2):
+            assert prices.dtype == np.float64 and prices.ndim == 1
+            assert not prices.flags.writeable
+            with pytest.raises(ValueError):
+                prices[0] = 1.0
+        dates, p1, p2 = zip(*(line.split(",") for line in lines))
+        assert series == PriceSeries(dates, [float(x) for x in p1], [float(x) for x in p2])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
