@@ -14,11 +14,13 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   the default, where most estimate columns have no runs of equal bits;
   every estimate repeated once, at the ledger writer's half cut for runs;
   a partial last block; leverage high enough that windows go untradeable
-  with a warning; a fixed gamma), and on `flat_p1.csv`, whose p1 stands still over rows 100-159 so
-  that five windows have no fit, and on `halting.csv`, the `backtest` pair
-  with p2 30 times higher after a row past the middle that holds p2 short
-  in both modes, so that the account goes below zero and trading halts
-  with a warning; each in both threshold modes
+  with a warning; a fixed gamma; a fixed gamma and a leverage that leave
+  every window untradeable, with a warning each, and no row active), and on
+  `flat_p1.csv`, whose p1 stands still over rows 100-159 so that five
+  windows have no fit, and on `halting.csv`, the `backtest` pair with p2 30
+  times higher after a row past the middle that holds p2 short in both
+  modes, so that the account goes below zero and trading halts with a
+  warning; each in both threshold modes
 - `montecarlo --seed S`, its other settings at their defaults, and again in
   exact mode with `--bins 4 --leverage 2.5`
 - `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
@@ -88,6 +90,7 @@ BACKTEST_SETTINGS = {
     "leverage25": ["--leverage", "25"],
     "leverage50": ["--leverage", "50"],
     "gamma0.02": ["--gamma", "0.02"],
+    "untradeable": ["--gamma", "0.99", "--leverage", "2"],
 }
 # verify-lemma betas, each run at --samples 10000
 LEMMA_BETAS = ("1", "0.5", "0")

@@ -1,13 +1,13 @@
 """Staggered sliding-window backtest over a historical price series.
 
-The engine refits the spread model every trade_len periods on the trailing
-train_len observations, freezes the window estimates (beta, mu, gamma, eta),
-and applies the threshold allocation rule at every period with the frozen
-estimates: in array calls over all periods, but for the account value
-recursion, which steps through the active periods one at a time. Position
-profit is marked to market one period later. The first
-tradeable period is index train_len; the decision at the final period is
-recorded but never realized.
+Two steps. fit_windows refits the spread model every trade_len periods on
+the trailing train_len observations and freezes the window estimates (the
+model, gamma, eta, tradeable) in one Windows record. run_backtest then
+applies the threshold allocation rule at every period with its window's
+estimates: in array calls, but for the account value recursion, which steps
+through the active periods one at a time. Position profit is marked to
+market one period later. The first tradeable period is index train_len; the
+decision at the final period is recorded but never realized.
 """
 
 from __future__ import annotations
@@ -132,12 +132,28 @@ def max_drawdown(values) -> float:
     return float(np.max((peaks - vals) / peaks))
 
 
-def run_backtest(
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """The frozen estimates of each refit window. Window j trains on the
+    train_len rows before row end[j] and trades the trade_len rows from it
+    on. gamma, eta, fitted and tradeable are (windows, 1) columns, as are
+    model's parameters; eta is NaN where fitted is False.
+    """
+
+    end: np.ndarray
+    model: SpreadModel
+    gamma: np.ndarray
+    eta: np.ndarray
+    fitted: np.ndarray
+    tradeable: np.ndarray
+
+
+def fit_windows(
     series: PriceSeries,
-    config: BacktestConfig | None = None,
+    config: BacktestConfig,
     fit_model: Callable[..., SpreadModel] = fit_cointegration,
-) -> tuple[Ledger, BacktestReport]:
-    """Run the staggered-window strategy over the series.
+) -> Windows:
+    """Fit the spread model and estimate gamma and eta on every window.
 
     fit_model selects the model family. It is called once, as fit_model(p1,
     p2) on the training windows stacked as (windows, train_len) arrays, and
@@ -145,43 +161,12 @@ def run_backtest(
     at least train_len + 2 observations. A window is untradeable, with a
     warning, if gamma_hat >= 1 or leverage * gamma_hat >= 1, or if its
     spread is not finite over its training prices (as with the NaN fit of a
-    constant log p1), which also gives its rows NaN spread and estimates.
-    Untradeable rows have an infinite threshold and no position. Trading
-    halts for good once the account value drops to zero or below.
-
-    Spreads, thresholds and gradients are one call each over the trade rows
-    laid out as a (windows, trade_len) matrix, so a stationary point anywhere
-    in a tradeable block raises StationaryPointError. The parts of the rule
-    that do not depend on the account value V are array operations over the
-    trade rows: the active mask |S| > tau, den = |g1| p1 + |g2| p2, the
-    sign-flipped gradient a = -sign(S) g and the price moves dp. Only the
-    value recursion runs row by row, over the active rows:
-
-        lam = leverage V / den
-        V += (lam a1) dp1 + (lam a2) dp2
-
-    and the holdings n = -lam sign(S) g follow as arrays from the values,
-    in trading.allocate's order of operations. The steps of V are the
-    doubles allocate's holdings give, because a sign flip is exact
-    (kernels.trade_scan makes the same split), and an inactive row adds
-    nothing to V. The faults allocate raised row by row stay: a NaN or
-    negative threshold raises DomainError at the first such row unless
-    trading halted before it, and an account value that is not finite
-    raises DomainError naming account_value.
+    constant log p1), and untradeable without a warning if eta_hat <= 0.
     """
-    if config is None:
-        config = BacktestConfig()
-    n_train = config.window.train_len
-    stride = config.window.trade_len
-    total = len(series)
+    n_train, stride, total = config.window.train_len, config.window.trade_len, len(series)
     if total < n_train + 2:
-        raise LengthError(
-            f"need at least train_len + 2 = {n_train + 2} observations, got {total}"
-        )
-    threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
-
-    # window j trains on rows [j * stride, j * stride + n_train) and trades
-    # the stride rows after it; its estimates are row j of (windows, 1) columns
+        raise LengthError(f"need at least train_len + 2 = {n_train + 2} observations, got {total}")
+    # window j trains on rows [j * stride, j * stride + n_train)
     train1 = sliding_window_view(series.p1[:-1], n_train)[::stride]
     train2 = sliding_window_view(series.p2[:-1], n_train)[::stride]
     model = fit_model(train1, train2)
@@ -194,18 +179,60 @@ def run_backtest(
         # clipped into (0, 1]: a window whose raw bound reaches 1 never trades
         gamma = np.minimum(estimate_gamma(train1, train2, floor=config.gamma_floor), 1.0)[:, None]
     bounded = (gamma < 1.0) & (config.leverage * gamma < 1.0)
+    end = n_train + stride * np.arange(len(eta))
     for j in np.flatnonzero(~(fitted & bounded)).tolist():
         g = gamma[j, 0]
         why = f"gamma_hat={g:.6g}, leverage*gamma_hat={config.leverage * g:.6g} (both must be < 1)"
         if not fitted[j, 0]:
             why = "fitted spread is not finite"
-        logger.warning("window ending at k=%d untradeable: %s", n_train + j * stride, why)
-    tradeable = fitted & bounded & (eta > 0.0)
+        logger.warning("window ending at k=%d untradeable: %s", end[j], why)
+    return Windows(end, model, gamma, eta, fitted, fitted & bounded & (eta > 0.0))
 
-    # the trade rows as a (windows, stride) matrix, NaN-padded at the end
-    rows = total - n_train
-    pad = [math.nan] * (len(train1) * stride - rows)
-    bp1, bp2 = (np.append(p[n_train:], pad).reshape(-1, stride) for p in (series.p1, series.p2))
+
+def run_backtest(
+    series: PriceSeries,
+    config: BacktestConfig | None = None,
+    fit_model: Callable[..., SpreadModel] = fit_cointegration,
+) -> tuple[Ledger, BacktestReport]:
+    """Run the staggered-window strategy over the series.
+
+    The window estimates come from one fit_windows call, which raises and
+    warns as it says; rows of a window without a fit have NaN spread and
+    estimates. Untradeable rows have an infinite threshold and no position.
+    Trading halts for good once the account value drops to zero or below.
+
+    Spreads, thresholds and gradients are one call each over the trade rows
+    laid out as a (windows, trade_len) matrix, so a stationary point anywhere
+    in a tradeable block raises StationaryPointError. The parts of the rule
+    that do not depend on the account value V are array operations over the
+    trade rows: the active mask |S| > tau, den = |g1| p1 + |g2| p2, the
+    sign-flipped gradient a = -sign(S) g and the price moves dp. Only the
+    value recursion runs row by row, over the active rows:
+
+        lam = leverage V / den
+        V += (lam a1) dp1 + (lam a2) dp2
+
+    and the holdings n = -lam sign(S) g follow as arrays from the values, in
+    trading.allocate's order of operations. The steps of V are the doubles
+    allocate's holdings give, because a sign flip is exact
+    (kernels.trade_scan makes the same split), and an inactive row adds
+    nothing to V. The faults allocate raised row by row stay: a NaN or
+    negative threshold raises DomainError at the first such row unless
+    trading halted before it, a zero den raises ZeroDivisionError, and an
+    account value that is not finite raises DomainError naming account_value.
+    """
+    if config is None:
+        config = BacktestConfig()
+    windows = fit_windows(series, config, fit_model)
+    model, gamma, eta, tradeable = windows.model, windows.gamma, windows.eta, windows.tradeable
+    threshold = threshold_exact if config.threshold_mode == "exact" else threshold_approx
+
+    # the trade rows as a (windows, trade_len) matrix, NaN-padded at the end
+    first = int(windows.end[0])
+    p1, p2 = series.p1[first:], series.p2[first:]
+    rows = len(p1)
+    pad = [math.nan] * (len(windows.end) * config.window.trade_len - rows)
+    bp1, bp2 = (np.append(p, pad).reshape(len(windows.end), -1) for p in (p1, p2))
     spread = spread_value(model, bp1, bp2)
     # untradeable rows go in as NaN prices with eta 0, so tau = inf, and a
     # stand-in gamma: neither call raises or warns on them
@@ -218,10 +245,9 @@ def run_backtest(
         return np.broadcast_to(block, bp1.shape).reshape(-1)[:rows]
 
     def estimate(block):  # NaN in the windows without a fit
-        return column(np.where(fitted, block, math.nan))
+        return column(np.where(windows.fitted, block, math.nan))
 
     spread, tau, g1, g2 = estimate(spread), column(tau), column(g1), column(g2)
-    p1, p2 = series.p1[n_train:], series.p2[n_train:]
     # the parts of the rule that do not depend on the account value
     active = np.abs(spread) > tau
     with np.errstate(invalid="ignore", over="ignore"):
@@ -251,24 +277,22 @@ def run_backtest(
         if not value <= 0.0:
             raise DomainError(f"account_value must be finite and positive, got {value!r}")
         halt = int(steps[-1]) + 1
-        logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, n_train + halt)
+        logger.warning("account value %.6g <= 0 at k=%d; trading halted", value, first + halt)
     elif stop < rows:
         raise DomainError(f"threshold must be non-negative, got {tau[stop].item()!r}")
     active[halt:] = False
-    # each step's holdings from the value it was decided at
+    # each active row's holdings from the value it was decided at
+    held = np.flatnonzero(active)
+    if held.size and den[held[-1]] == 0.0:
+        # the last row's division, which the value loop does not make
+        raise ZeroDivisionError("float division by zero")
     n1, n2 = np.zeros(rows), np.zeros(rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        lam = lev * np.array(values[:-1]) / den[steps]
-        n1[steps], n2[steps] = (-lam * sign[steps] * g[steps] for g in (g1, g2))
-    if active[-1]:
-        # in Python floats, as allocate: a non-finite gradient gives NaN
-        # holdings that no later value takes in, and numpy's NaN sign may differ
-        lam = lev * value / den[-1].item()
-        s = sign[-1].item()
-        n1[-1], n2[-1] = -lam * s * g1[-1].item(), -lam * s * g2[-1].item()
+        lam = lev * np.array(values[: len(held)]) / den[held]
+        n1[held], n2[held] = (-lam * sign[held] * g[held] for g in (g1, g2))
     ledger = Ledger(
-        k=np.arange(n_train, total),
-        date=series.dates[n_train:],
+        k=np.arange(first, len(series)),
+        date=series.dates[first:],
         p1=p1,
         p2=p2,
         spread=spread,

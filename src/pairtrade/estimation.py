@@ -7,7 +7,7 @@ strongly the fitted spread pulls toward zero:
     eta_hat = - sum_j sign(S_j) (S_{j+1} - S_j) / sum_j |S_j|
 
 with both sums over j = 0 .. N-2. Positive eta_hat means observed mean
-reversion; a window is tradeable iff eta_hat > 0.
+reversion, one of the conditions for a window to trade (backtest.fit_windows).
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from pairtrade.backtest import (
     BacktestConfig,
     BacktestReport,
     buy_and_hold,
+    fit_windows,
     max_drawdown,
     run_backtest,
     write_ledger_csv,
@@ -238,6 +239,17 @@ class _NaNThresholdAt(_StationaryAt):
         return np.where(np.asarray(p1) == self.p1_star, math.nan, curvature)
 
 
+class _ZeroDenBelow(CointegrationSpread):
+    """A log-linear spread whose gradient is (0, 5e-324) where p2 is below
+    0.45, so that den = |g1| p1 + |g2| p2 underflows to 0 there. Test
+    double."""
+
+    def gradient(self, p1, p2):
+        g1, g2 = super().gradient(p1, p2)
+        low = np.asarray(p2) < 0.45
+        return np.where(low, 0.0, g1), np.where(low, 5e-324, g2)
+
+
 def _fit_trend(p1, p2):
     return _TrendModel(np.min(np.log(p1), axis=-1, keepdims=True) - 1.0)
 
@@ -390,6 +402,24 @@ class TestDegenerateConditions:
         jump_rows = ledger.gamma >= 1.0
         assert jump_rows.any()
         assert not ledger.active[jump_rows].any()
+
+    def test_zero_den_on_last_row_raises(self):
+        # p2 drops below 0.45 on the last row only, where the spread trades
+        # against the drop; the last row's holdings divide by its den of 0
+        # as every earlier active row's step does
+        base = synthetic_series(seed=4, length=300)
+        p2 = base.p2 * (0.5 / base.p2.min())
+        p2[-1] = 0.4
+        series = make_series(base.p1, p2)
+        ledger, _ = run_backtest(series)
+        assert ledger.active[-1] and ledger.active[:-1].any()
+
+        def fit(p1, p2):
+            model = fit_cointegration(p1, p2)
+            return _ZeroDenBelow(model.beta, model.mu)
+
+        with pytest.raises(ZeroDivisionError, match=r"^float division by zero$"):
+            run_backtest(series, fit_model=fit)
 
 
 def _column(rows, name):
@@ -619,3 +649,73 @@ class TestConfigValidation:
     def test_bool_rejected(self, name, flag):
         with pytest.raises(DomainError, match=f"{name} must be a number"):
             BacktestConfig(**{name: flag})
+
+
+class TestFitWindows:
+    """fit_windows' record against the ledger that run_backtest builds from
+    it, and the window faults it owns."""
+
+    def test_ledger_estimates_repeat_the_windows(self):
+        series, config = flat_p1_series(), BacktestConfig()
+        windows = fit_windows(series, config)
+        ledger, _ = run_backtest(series, config)
+        stride = config.window.trade_len
+        assert not windows.fitted.all() and windows.fitted.any()
+        np.testing.assert_array_equal(windows.end, ledger.k[::stride])
+        model = windows.model
+        for name, col in (("beta", model.beta), ("mu", model.mu),
+                          ("gamma", windows.gamma), ("eta", windows.eta)):
+            assert col.shape == (len(windows.end), 1)
+            want = np.repeat(np.where(windows.fitted, col, math.nan), stride)[: len(ledger)]
+            np.testing.assert_array_equal(getattr(ledger, name), want)
+
+    @pytest.mark.parametrize("leverage", [1.0, 50.0])
+    def test_finite_threshold_only_where_tradeable(self, leverage):
+        series, config = flat_p1_series(), BacktestConfig(leverage=leverage)
+        windows = fit_windows(series, config)
+        ledger, _ = run_backtest(series, config)
+        tradeable = np.repeat(windows.tradeable, config.window.trade_len)[: len(ledger)]
+        assert tradeable.any() and not tradeable.all()
+        assert not np.isfinite(ledger.threshold[~tradeable]).any()
+        assert not ledger.active[~tradeable].any()
+
+    def test_fit_model_called_once_on_stacks(self):
+        series, config = synthetic_series(seed=2, length=203), BacktestConfig()
+        calls = []
+
+        def fit(p1, p2):
+            calls.append((p1, p2))
+            return fit_cointegration(p1, p2)
+
+        windows = fit_windows(series, config, fit)
+        assert len(calls) == 1
+        train1, train2 = calls[0]
+        assert train1.shape == train2.shape == (len(windows.end), 40)
+        assert len(windows.end) == math.ceil((203 - 40) / 5)
+        for j, end in enumerate(windows.end.tolist()):
+            np.testing.assert_array_equal(train1[j], series.p1[end - 40 : end])
+            np.testing.assert_array_equal(train2[j], series.p2[end - 40 : end])
+
+    def test_too_short(self):
+        series = synthetic_series(seed=1, length=41)
+        with pytest.raises(LengthError) as fit_error:
+            fit_windows(series, BacktestConfig())
+        with pytest.raises(LengthError) as run_error:
+            run_backtest(series)
+        assert str(fit_error.value) == str(run_error.value)
+        assert str(fit_error.value) == "need at least train_len + 2 = 42 observations, got 41"
+
+    def test_warns_once_per_untradeable_window(self, caplog):
+        series, config = flat_p1_series(), BacktestConfig(leverage=50.0)
+        with caplog.at_level("WARNING", logger="pairtrade.backtest"):
+            windows = fit_windows(series, config)
+        fitted = windows.fitted[:, 0]
+        bounded = (windows.gamma[:, 0] < 1.0) & (50.0 * windows.gamma[:, 0] < 1.0)
+        assert (~fitted).any() and (fitted & ~bounded).any()
+        named = [int(m.split("k=")[1].split(" ")[0]) for m in caplog.messages]
+        assert named == windows.end[~(fitted & bounded)].tolist()
+        fit_messages = list(caplog.messages)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="pairtrade.backtest"):
+            run_backtest(series, config)
+        assert caplog.messages == fit_messages
