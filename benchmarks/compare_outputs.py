@@ -21,8 +21,10 @@ calls, every one in a fresh interpreter with PYTHONPATH=<tree>/src:
   times higher after a row past the middle that holds p2 short in both
   modes, so that the account goes below zero and trading halts with a
   warning; each in both threshold modes
-- `montecarlo --seed S`, its other settings at their defaults, and again in
-  exact mode with `--bins 4 --leverage 2.5`
+- `montecarlo --seed S`, its other settings at their defaults, again in
+  exact mode with `--bins 4 --leverage 2.5`, and at `--leverage 15`, where
+  the account values, and with them the trade scan's last-bit differences
+  between ways of computing a profit, grow the most
 - `montecarlo` at the fixed seed `WIDE_SEED`, 2**64 + 5, three 32-bit words
   of entropy, with 1500 trials, so its last chunk of trials is partial
 - `montecarlo` at the tile edges of the trade scan (`TILE_EDGE_PERIODS`):
@@ -252,6 +254,7 @@ def calls(seed: int, data: Path) -> list[tuple[str, list[str]]]:
     out.append(("montecarlo", ["montecarlo", "--seed", str(seed)]))
     out.append(("montecarlo-exact", ["montecarlo", "--threshold-mode", "exact", "--bins", "4",
                                      "--leverage", "2.5", "--seed", str(seed)]))
+    out.append(("montecarlo-leverage15", ["montecarlo", "--leverage", "15", "--seed", str(seed)]))
     out.append(("montecarlo-wide-seed", ["montecarlo", "--seed", str(WIDE_SEED), "--trials",
                                          "1500", "--periods", "40"]))
     out.append(("montecarlo-periods2", ["montecarlo", "--periods", str(TILE_EDGE_PERIODS[0]),

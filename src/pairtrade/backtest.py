@@ -214,12 +214,13 @@ def run_backtest(
 
     and the holdings n = -lam sign(S) g follow as arrays from the values, in
     trading.allocate's order of operations. The steps of V are the doubles
-    allocate's holdings give, because a sign flip is exact
-    (kernels.trade_scan makes the same split), and an inactive row adds
-    nothing to V. The faults allocate raised row by row stay: a NaN or
-    negative threshold raises DomainError at the first such row unless
-    trading halted before it, a zero den raises ZeroDivisionError, and an
-    account value that is not finite raises DomainError naming account_value.
+    allocate's holdings give, because a sign flip is exact, and an inactive
+    row adds nothing to V. The faults allocate raised row by row stay: a NaN
+    or negative threshold raises DomainError at the first such row unless
+    trading halted before it, and an account value that is not finite
+    raises DomainError naming account_value. A zero den on an active row,
+    where allocate divided by zero, raises DomainError naming the row, its
+    date and its gradient.
     """
     if config is None:
         config = BacktestConfig()
@@ -264,12 +265,22 @@ def run_backtest(
     lev = config.leverage
     value = config.initial_value
     values = [value]
-    for d, b1, b2, d1, d2 in zip(*(x[act].tolist() for x in (den, a1, a2, dp1, dp2))):
-        lam = lev * value / d
-        value = value + (lam * b1 * d1 + lam * b2 * d2)
-        values.append(value)
-        if not 0.0 < value < math.inf:
-            break
+
+    def zero_den(row):
+        return DomainError(
+            f"den = |g1| p1 + |g2| p2 is 0 at k={first + row} ({series.dates[first + row]}), "
+            f"gradient ({g1[row].item()!r}, {g2[row].item()!r})"
+        )
+
+    try:
+        for d, b1, b2, d1, d2 in zip(*(x[act].tolist() for x in (den, a1, a2, dp1, dp2))):
+            lam = lev * value / d
+            value = value + (lam * b1 * d1 + lam * b2 * d2)
+            values.append(value)
+            if not 0.0 < value < math.inf:
+                break
+    except ZeroDivisionError:
+        raise zero_den(int(act[len(values) - 1])) from None
     steps = act[: len(values) - 1]  # the rows whose profit moved the value
     # from a halt on the account holds nothing and its value stays frozen
     halt = rows
@@ -285,7 +296,7 @@ def run_backtest(
     held = np.flatnonzero(active)
     if held.size and den[held[-1]] == 0.0:
         # the last row's division, which the value loop does not make
-        raise ZeroDivisionError("float division by zero")
+        raise zero_den(int(held[-1]))
     n1, n2 = np.zeros(rows), np.zeros(rows)
     with np.errstate(invalid="ignore", over="ignore"):
         lam = lev * np.array(values[: len(held)]) / den[held]

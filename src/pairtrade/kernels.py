@@ -2,18 +2,21 @@
 
 A block holds many independent paths side by side: row k is period k and
 column j is path j. Each kernel steps down the rows, one period for all paths
-at a time, so every path sees the scalar recursion's operations in the
-scalar recursion's order and gets the same doubles a one-path loop would.
-trade_scan steps only its account-value recursion row by row; the work
-that does not depend on the value runs in block calls over tiles of TILE
-periods.
+at a time, so a path does not depend on which others share its block.
+ou_recursion makes the scalar recursion's operations in the scalar
+recursion's order and gets the same doubles a one-path loop would.
+trade_scan runs the threshold rule in returns form: a period's return does
+not depend on the account value, so it runs in block calls over tiles of
+TILE periods, and only the value steps row by row. Its profits differ from
+the holdings-form loop's in the last bits (tests/scalar_oracle.py keeps
+that loop as the reference, with a stated tolerance).
 
 Both kernels work in blocks the caller owns, so a caller that reuses one
 set of blocks (verify_theorem's arena) allocates no block per call:
 ou_recursion overwrites its innovation blocks with the paths, and
 trade_scan writes |s| and every period's profit into its `out` blocks.
-Only the per-event results, the traded mask, one-row temporaries and
-trade_scan's six (TILE, paths) tile planes, once per call, are allocated.
+Only the traded mask, one-row temporaries and trade_scan's two (TILE,
+paths) tile planes, once per call, are allocated.
 
 The one exception to one implementation per kernel: ou_recursion steps a
 one-path block over Python floats, with the same operations in the same
@@ -28,7 +31,7 @@ import numpy as np
 from .spread import StationaryPointError
 
 # periods per tile of trade_scan's block passes; at 1024 paths (a chunk of
-# seeding.CHUNK_TRIALS) each of its six tile planes is 128 KB
+# seeding.CHUNK_TRIALS) each of its two tile planes is 128 KB
 TILE = 16
 
 
@@ -71,7 +74,7 @@ def ou_recursion(s, w, theta, sigma_s, sigma_w, s0, w0):
     return s, w
 
 
-def trade_scan(model, p1, p2, s, tau, leverage, v0, *, out, gather_sabs=True):
+def trade_scan(model, p1, p2, s, tau, leverage, v0, *, out):
     """Run the fully-invested threshold rule down every path of a block.
 
     p1, p2 and s have shape (periods, paths). Every path starts with account
@@ -79,91 +82,87 @@ def trade_scan(model, p1, p2, s, tau, leverage, v0, *, out, gather_sabs=True):
     the holdings of period k follow model.gradient(p1[k], p2[k]). tau is a
     float or any array that broadcasts against s[:-1]; a (periods - 1, 1)
     column gives each period its own threshold. The last period is never
-    traded: its profit would need period `periods`. Returns (dv, sabs): the
-    profit and |spread| of every traded period, path after path and, within
-    a path, in time order; sabs is None when gather_sabs is false.
+    traded: its profit would need period `periods`. Returns the traded
+    mask, |s| > tau, a bool block shaped like s[:-1].
 
     out is a pair of float blocks shaped like s[:-1] that receive |s| and
-    every period's profit, traded or not.
+    every period's profit; an untraded period's profit is +-0.
 
     A gradient that vanishes (or is not finite) at any point of the block
     raises StationaryPointError, traded or not, naming the first such
     period and, within it, the first such path.
 
-    Only lam = leverage v / den, the profit and the update of the account
-    value v depend on v. Everything else runs per tile of TILE periods, in
-    block calls: one model.gradient call per tile (so the model sees
-    (rows, paths) price blocks), den = |g1| p1 + |g2| p2, the sign-flipped
-    gradient a = -sign(s) g, the price moves dp and the traded mask as
-    floats. Each period then takes 9 row calls:
+    The rule runs in returns form. A period's return
 
-        lam = leverage v / den
-        dv = (lam a1) dp1 + (lam a2) dp2
-        v += dv on
+        r = leverage (a1 dp1 + a2 dp2) / den
 
-    The doubles are those of the holdings n = -lam sign(s) g, for three
-    reasons. A sign flip is exact, so (-lam sign(s)) g and lam (-sign(s) g)
-    are the same double. An untraded period adds dv 0 = +-0, and
-    v + +-0 = v. A non-finite dv on an untraded period turns v into NaN
-    (a masked add would leave it alone), but only for later periods of the
-    same path, so the first non-finite profit, the one reported, does not
-    move.
+    with den = |g1| p1 + |g2| p2 and the sign-flipped gradient
+    a = -sign(s) g does not depend on the account value v. So r, times the
+    traded mask, runs per tile of TILE periods in block calls (one
+    model.gradient call per tile, on (rows, paths) price blocks), straight
+    into the tile's rows of the profit block. v then steps down the tile in
+    two row calls per period:
+
+        dv = v (r on)
+        v += dv
+
+    so each path's v is v0 plus the running sum of its profits, and an
+    untraded period adds +-0, which leaves v as it is. A non-finite r on an
+    untraded period makes its dv NaN, and v NaN for the later periods of the
+    same path only, so the first non-finite profit in (period, path) order
+    is the point the error names.
     """
     sabs, dv = out
     np.abs(s[:-1], out=sabs)
     on = sabs > tau
-    _profits(model, p1, p2, s, on, leverage, v0, dv)
+    _step_values(model, p1, p2, s, on, leverage, v0, dv)
     if not np.isfinite(dv).all():
         k, j = np.argwhere(~np.isfinite(dv))[0]
         raise StationaryPointError(
             f"spread gradient vanishes or is not finite at ({p1[k, j]}, {p2[k, j]}), "
             f"period {k} of path {j}"
         )
-    events = on.T
-    return dv.T[events], (sabs.T[events] if gather_sabs else None)
+    return on
 
 
-def _profits(model, p1, p2, s, on, leverage, v0, dv):
+def _step_values(model, p1, p2, s, on, leverage, v0, dv):
     """Write every period's profit into the rows of dv; see trade_scan.
 
-    The tile planes are allocated once here and freed on return, before
-    trade_scan gathers its events.
+    The two tile planes are allocated once here and freed on return, before
+    trade_scan's finite check.
     """
     periods, paths = on.shape
     v = np.full(paths, float(v0))
-    lam, x, y = np.empty((3, paths))
-    planes = np.empty((6, min(TILE, periods), paths))
+    planes = np.empty((2, min(TILE, periods), paths))
     # a stationary point divides by zero below; trade_scan's check reports it
     with np.errstate(divide="ignore", invalid="ignore"):
         for k0 in range(0, periods, TILE):
             k1 = min(k0 + TILE, periods)
-            den, a1, a2, dp1, dp2, onf = planes[:, : k1 - k0]
+            den, x = planes[:, : k1 - k0]
+            r = dv[k0:k1]
             p1t, p2t = p1[k0:k1], p2[k0:k1]
             g1, g2 = model.gradient(p1t, p2t)
-            # |g1| p1 + |g2| p2, with a1 as scratch
+            # |g1| p1 + |g2| p2
             np.abs(g1, out=den)
             den *= p1t
-            np.abs(g2, out=a1)
-            a1 *= p2t
-            den += a1
-            # -sign(s) in onf: -1 where s > 0, else 1
-            np.greater(s[k0:k1], 0.0, out=onf)
-            onf *= -2.0
-            onf += 1.0
-            np.multiply(g1, onf, out=a1)
-            np.multiply(g2, onf, out=a2)
-            np.subtract(p1[k0 + 1 : k1 + 1], p1t, out=dp1)
-            np.subtract(p2[k0 + 1 : k1 + 1], p2t, out=dp2)
-            np.copyto(onf, on[k0:k1])
-            for den_k, a1_k, a2_k, dp1_k, dp2_k, on_k, dv_k in zip(
-                den, a1, a2, dp1, dp2, onf, dv[k0:k1]
-            ):
-                np.multiply(v, leverage, out=lam)
-                lam /= den_k
-                np.multiply(lam, a1_k, out=x)
-                x *= dp1_k
-                np.multiply(lam, a2_k, out=y)
-                y *= dp2_k
-                np.add(x, y, out=dv_k)
-                np.multiply(dv_k, on_k, out=x)
-                v += x
+            np.abs(g2, out=x)
+            x *= p2t
+            den += x
+            # leverage (g1 dp1 + g2 dp2) / den
+            np.subtract(p1[k0 + 1 : k1 + 1], p1t, out=x)
+            np.multiply(g1, x, out=r)
+            np.subtract(p2[k0 + 1 : k1 + 1], p2t, out=x)
+            x *= g2
+            r += x
+            r *= leverage
+            r /= den
+            # times -sign(s) on, which is exact: -1 where s > 0, else 1,
+            # and 0 where untraded
+            np.greater(s[k0:k1], 0.0, out=x)
+            x *= -2.0
+            x += 1.0
+            x *= on[k0:k1]
+            r *= x
+            for dv_k in r:
+                dv_k *= v
+                v += dv_k

@@ -208,22 +208,27 @@ def verify_theorem(
         # a shorter last chunk packs its planes into the front of the arena
         block = np.ndarray((len(arena), periods, n), buffer=arena)
         s, p1, p2 = _simulate(spec, itertools.islice(rngs, n), block)
-        dv, sabs = kernels.trade_scan(
-            model, p1, p2, s, tau, leverage, initial_value,
-            out=(block[1, :-1], block[4, :-1]), gather_sabs=use_bins,
-        )
-        count += dv.size
-        total += float(np.sum(dv))
-        totsq += float(np.dot(dv, dv))
+        sabs, dv = block[1, :-1], block[4, :-1]
+        on = kernels.trade_scan(model, p1, p2, s, tau, leverage, initial_value, out=(sabs, dv))
+        # an untraded period's profit is +-0, so the whole block pools alike
+        count += int(np.count_nonzero(on))
+        flat = dv.reshape(-1)
+        total += float(np.sum(flat))
+        totsq += float(np.dot(flat, flat))
         if use_bins:
+            # the traded periods path after path, as the scalar loop has them
+            dv, sabs = dv.T[on.T], sabs.T[on.T]
+            del on
             idx = np.digitize(sabs, edges)
             idx -= 1
             np.clip(idx, 0, collect_bins - 1, out=idx)
             bin_sums += np.bincount(idx, weights=dv, minlength=collect_bins)
             bin_counts += np.bincount(idx, minlength=collect_bins)
-            del idx
-        # one chunk's event arrays alive at a time, not two
-        del dv, sabs
+            # one chunk's event arrays alive at a time, not two
+            del idx, dv, sabs
+        else:
+            # one chunk's mask alive at a time, not two
+            del on
 
     mean, p_value = _one_sided_p(count, total, totsq)
     bins_kw = {}

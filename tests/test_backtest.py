@@ -9,6 +9,7 @@ audit trail.
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -407,19 +408,31 @@ class TestDegenerateConditions:
         # p2 drops below 0.45 on the last row only, where the spread trades
         # against the drop; the last row's holdings divide by its den of 0
         # as every earlier active row's step does
-        base = synthetic_series(seed=4, length=300)
-        p2 = base.p2 * (0.5 / base.p2.min())
-        p2[-1] = 0.4
-        series = make_series(base.p1, p2)
-        ledger, _ = run_backtest(series)
-        assert ledger.active[-1] and ledger.active[:-1].any()
+        _assert_zero_den_raises(299)
 
-        def fit(p1, p2):
-            model = fit_cointegration(p1, p2)
-            return _ZeroDenBelow(model.beta, model.mu)
+    def test_zero_den_mid_series_raises(self):
+        # the same drop on one row mid-series, where the value loop divides
+        _assert_zero_den_raises(200)
 
-        with pytest.raises(ZeroDivisionError, match=r"^float division by zero$"):
-            run_backtest(series, fit_model=fit)
+
+def _assert_zero_den_raises(row):
+    """A 300-row series whose p2 drops below 0.45 on the given row only,
+    which trades, and whose fit has a den of 0 there."""
+    base = synthetic_series(seed=4, length=300)
+    p2 = base.p2 * (0.5 / base.p2.min())
+    p2[row] = 0.4
+    series = make_series(base.p1, p2)
+    ledger, _ = run_backtest(series)
+    at = row - int(ledger.k[0])
+    assert ledger.active[at] and ledger.active[:at].any()
+
+    def fit(p1, p2):
+        model = fit_cointegration(p1, p2)
+        return _ZeroDenBelow(model.beta, model.mu)
+
+    message = f"den = |g1| p1 + |g2| p2 is 0 at k={row} ({row:06d}), gradient (0.0, 5e-324)"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_backtest(series, fit_model=fit)
 
 
 def _column(rows, name):

@@ -1,7 +1,9 @@
 """Time-major kernels: recursion semantics and the threshold rule.
 
 Blocks are (periods, paths); the scalar one-path loops in scalar_oracle.py
-are the reference, and a path's doubles must equal the loop's exactly.
+are the reference. A path's doubles must equal the loop's exactly, but for
+trade_scan's profits, which are within scan_profits.PROFIT_TOL of the
+account value.
 """
 
 import math
@@ -12,9 +14,11 @@ import pytest
 import scalar_oracle
 from pairtrade import kernels
 from pairtrade.spread import CointegrationSpread, StationaryPointError
+from scan_profits import assert_profits_close, events, values
 from spread_models import RatioSpread
 
 LOG_LINEAR = CointegrationSpread(2.0, 0.0)
+TILE = kernels.TILE
 
 
 def _inputs(n=5_000, seed=123):
@@ -43,9 +47,11 @@ def _block(n=2_000, paths=3, seed=9):
 
 
 def _scan(model, p1, p2, s, *args, **kwargs):
-    """trade_scan with fresh out blocks unless given."""
+    """trade_scan with fresh out blocks unless given: (on, sabs, dv), the
+    traded mask and the |s| and profit blocks."""
     kwargs.setdefault("out", tuple(np.empty((2, *s[:-1].shape))))
-    return kernels.trade_scan(model, p1, p2, s, *args, **kwargs)
+    on = kernels.trade_scan(model, p1, p2, s, *args, **kwargs)
+    return (on, *kwargs["out"])
 
 
 class TestOuRecursion:
@@ -96,7 +102,7 @@ class TestTradeScan:
 
         p1, p2, s = _block(300, paths=2)
         lev, v0 = 1.0, 10_000.0
-        dv, sabs = _scan(model, p1, p2, s, tau, lev, v0)
+        on, sabs, dv = _scan(model, p1, p2, s, tau, lev, v0)
 
         taus = np.broadcast_to(tau, s[:-1].shape)
         expect_dv, expect_sabs, finals = [], [], []
@@ -113,54 +119,56 @@ class TestTradeScan:
                     expect_sabs.append(abs(float(s[k, j])))
                     value += step
             finals.append(value)
-        assert len(dv) == len(sabs) == len(expect_dv)
-        assert np.array_equal(dv, expect_dv)
-        assert np.array_equal(sabs, expect_sabs)
-        first = len(dv) - np.count_nonzero(np.abs(s[:-1, 1]) > taus[:, 1])
-        assert v0 + np.sum(dv[:first]) == pytest.approx(finals[0], rel=1e-12)
-        assert v0 + np.sum(dv[first:]) == pytest.approx(finals[1], rel=1e-12)
+        assert np.array_equal(events(sabs, on), expect_sabs)
+        assert_profits_close(
+            events(dv, on), expect_dv, events(values(dv, v0), on)
+        )
+        assert v0 + np.sum(dv[:, 0]) == pytest.approx(finals[0], rel=1e-12)
+        assert v0 + np.sum(dv[:, 1]) == pytest.approx(finals[1], rel=1e-12)
 
     @pytest.mark.parametrize("tau, leverage", [(0.00625, 1.0), (0.02, 2.5), (0.0, 0.5)])
     def test_paths_equal_scalar_loop(self, tau, leverage):
         p1, p2, s = _block(1_000, paths=4)
-        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, tau, leverage, 10_000.0)
+        on, sabs, dv = _scan(LOG_LINEAR, p1, p2, s, tau, leverage, 10_000.0)
         refs = [
             scalar_oracle.trade_scan(p1[:, j], p2[:, j], s[:, j], 2.0, tau, leverage, 10_000.0)
             for j in range(4)
         ]
-        assert np.array_equal(dv, np.concatenate([r[0] for r in refs]))
-        assert np.array_equal(sabs, np.concatenate([r[1] for r in refs]))
+        assert np.array_equal(events(sabs, on), np.concatenate([r[1] for r in refs]))
+        assert_profits_close(
+            events(dv, on),
+            np.concatenate([r[0] for r in refs]),
+            events(values(dv, 10_000.0), on),
+        )
 
     @pytest.mark.parametrize("tau", [0.00625, math.inf])
     def test_out_blocks(self, tau):
-        # the out blocks receive |s| and every period's profit, traded or
-        # not; |s| is gathered per event only on request
+        # the out blocks receive |s| and every period's profit, and the mask
+        # is the traded periods, |s| > tau
         p1, p2, s = _block(400, paths=3)
-        dv, _ = _scan(LOG_LINEAR, p1, p2, s, tau, 1.0, 10_000.0)
         planes = np.full((2, *s[:-1].shape), np.nan)
-        got_dv, got_sabs = _scan(
-            LOG_LINEAR, p1, p2, s, tau, 1.0, 10_000.0, out=tuple(planes), gather_sabs=False
-        )
-        assert got_sabs is None
-        assert np.array_equal(got_dv, dv)
+        on = kernels.trade_scan(LOG_LINEAR, p1, p2, s, tau, 1.0, 10_000.0, out=tuple(planes))
+        assert on.dtype == bool and on.shape == s[:-1].shape
         assert np.array_equal(planes[0], np.abs(s[:-1]))
+        assert np.array_equal(on, planes[0] > tau)
         assert np.isfinite(planes[1]).all()
-        on = planes[0] > tau
-        assert np.array_equal(planes[1].T[on.T], dv)
 
     def test_infinite_tau_never_trades(self):
         p1, p2, s = _block(500)
-        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, math.inf, 1.0, 10_000.0)
-        assert dv.size == 0 and sabs.size == 0
+        on, _, dv = _scan(LOG_LINEAR, p1, p2, s, math.inf, 1.0, 10_000.0)
+        assert not on.any()
+        assert not dv.any()
 
     def test_last_period_not_traded(self):
         # two periods: only period 0 can realize a profit
         p1 = np.array([[100.0], [101.0]])
         p2 = np.array([[50.0], [49.0]])
         s = np.array([[1.0], [1.0]])
-        dv, sabs = _scan(LOG_LINEAR, p1, p2, s, 0.1, 1.0, 10_000.0)
-        assert dv.size == 1
-        assert sabs[0] == 1.0
+        on, sabs, dv = _scan(LOG_LINEAR, p1, p2, s, 0.1, 1.0, 10_000.0)
+        assert on.shape == (1, 1) and on[0, 0]
+        assert sabs[0, 0] == 1.0
+        # against s > 0: short p2 and long p1, both legs gain
+        assert dv[0, 0] > 0.0
 
     @pytest.mark.parametrize("tau", [0.0, math.inf])
     def test_stationary_point_raises(self, tau):
@@ -174,15 +182,64 @@ class TestTradeScan:
             _scan(Flat(2.0, 0.0), p1, p2, s, tau, 1.0, 10_000.0)
 
 
+class TestReturnsForm:
+    """The contract of the returns form: a period's return depends on the
+    prices alone, each path's value is v0 plus the running sum of its
+    profits, and an untraded period's profit is +-0."""
+
+    @pytest.mark.parametrize("model", [LOG_LINEAR, RatioSpread()], ids=["log-linear", "ratio"])
+    def test_untraded_profits_are_zero(self, model):
+        p1, p2, s = _block(3 * TILE + 5, paths=4)
+        on, _, dv = _scan(model, p1, p2, s, 0.00625, 2.5, 10_000.0)
+        assert on.any() and not on.all()
+        assert np.all(dv[~on] == 0.0)
+        assert np.all(dv[on] != 0.0)
+
+    @pytest.mark.parametrize("model", [LOG_LINEAR, RatioSpread()], ids=["log-linear", "ratio"])
+    @pytest.mark.parametrize("leverage", [1.0, 15.0])
+    def test_value_is_running_sum_of_profits(self, model, leverage):
+        # a one-period scan from v0 = 1 gives that period's r on; a long
+        # scan's profit is exactly that times v0 plus the running sum of
+        # the path's earlier profits
+        p1, p2, s = _block(3 * TILE + 5, paths=4)
+        _, _, dv = _scan(model, p1, p2, s, 0.00625, leverage, 10_000.0)
+        r = np.concatenate([
+            _scan(model, p1[k : k + 2], p2[k : k + 2], s[k : k + 2], 0.00625, leverage, 1.0)[2]
+            for k in range(len(dv))
+        ])
+        v = values(dv, 10_000.0)
+        assert np.array_equal(dv, v * r)
+        assert np.all(v > 0.0) and len(np.unique(v[-1])) == 4
+
+    def test_first_stationary_point_named(self):
+        # the gradient vanishes in one period on a traded point of path 2
+        # and an untraded one of path 1, and on path 0 a period later: the
+        # point of path 1 is named, although its NaN profit reaches only
+        # path 1's later values
+        k = TILE + 3
+        flat = (77.0, 78.0, 79.0)
+
+        class FlatAt(CointegrationSpread):
+            def gradient(self, p1, p2):
+                g1, g2 = super().gradient(p1, p2)
+                at = np.isin(np.asarray(p1), flat)
+                return np.where(at, 0.0, g1), np.where(at, 0.0, g2)
+
+        p1, p2, s = _block(3 * TILE + 4, paths=3)
+        p1[k, 2], p1[k, 1], p1[k + 1, 0] = flat
+        s[k, 2], s[k, 1] = 0.5, 0.0
+        with pytest.raises(StationaryPointError, match=rf"at \(78.0, .*\), period {k} of path 1$"):
+            _scan(FlatAt(2.0, 0.0), p1, p2, s, 0.00625, 1.0, 10_000.0)
+
+
 def _allocate_loop(model, p1, p2, s, tau, lev, v0):
     """The threshold rule through trading.allocate, path by path and period
-    by period: (dv, sabs) of every traded period, path after path, and the
-    plane of every period's profit, traded or not, with holdings
-    -lam sign(s) g and sign(0) = -1."""
+    by period: the traded mask, and (dv, sabs) of every traded period, path
+    after path, with holdings -lam sign(s) g and sign(0) = -1."""
     from pairtrade.trading import allocate
 
     taus = np.broadcast_to(tau, s[:-1].shape)
-    plane = np.empty(s[:-1].shape)
+    on = np.zeros(s[:-1].shape, dtype=bool)
     dvs, sabs = [], []
     for j in range(p1.shape[1]):
         value = v0
@@ -190,20 +247,16 @@ def _allocate_loop(model, p1, p2, s, tau, lev, v0):
             a, b, sk = float(p1[k, j]), float(p2[k, j]), float(s[k, j])
             g1, g2 = (float(g) for g in model.gradient(a, b))
             da, db = float(p1[k + 1, j]) - a, float(p2[k + 1, j]) - b
-            lam = lev * value / (abs(g1) * a + abs(g2) * b)
-            sgn = 1.0 if sk > 0.0 else -1.0
-            plane[k, j] = -lam * sgn * g1 * da + -lam * sgn * g2 * db
             tau_k = float(taus[k, j])
             n1, n2 = allocate(g1, g2, a, b, sk, tau_k, value, lev)
             if abs(sk) > tau_k:
                 step = n1 * da + n2 * db
+                on[k, j] = True
                 dvs.append(step)
                 sabs.append(abs(sk))
                 value += step
-    return np.array(dvs), np.array(sabs), plane
+    return on, np.array(dvs), np.array(sabs)
 
-
-TILE = kernels.TILE
 
 
 class TestTradeScanTiles:
@@ -219,15 +272,16 @@ class TestTradeScanTiles:
         p1, p2, s = _block(periods - 1, paths=paths)
         tau = np.linspace(0.0, 0.02, periods - 1)[:, None] if per_period_tau else 0.00625
         planes = np.full((2, periods - 1, paths), np.nan)
-        dv, sabs = _scan(model, p1, p2, s, tau, 2.5, 10_000.0, out=tuple(planes))
-        expect_dv, expect_sabs, expect_plane = _allocate_loop(
-            model, p1, p2, s, tau, 2.5, 10_000.0
+        on = kernels.trade_scan(model, p1, p2, s, tau, 2.5, 10_000.0, out=tuple(planes))
+        expect_on, expect_dv, expect_sabs = _allocate_loop(model, p1, p2, s, tau, 2.5, 10_000.0)
+        assert on.any() or periods == 2
+        # row 0 has s = 0 on every path: never traded
+        assert np.array_equal(on, expect_on)
+        assert np.array_equal(events(planes[0], on), expect_sabs)
+        assert_profits_close(
+            events(planes[1], on), expect_dv, events(values(planes[1], 10_000.0), on)
         )
-        assert dv.size > 0 or periods == 2
-        assert np.array_equal(dv, expect_dv)
-        assert np.array_equal(sabs, expect_sabs)
-        # row 0 has s = 0 on every path: never traded, sign(0) = -1
-        assert np.array_equal(planes[1], expect_plane)
+        assert np.all(planes[1][~on] == 0.0)
 
     @pytest.mark.parametrize("periods", [2, TILE + 1, TILE + 2, 3 * TILE + 5])
     def test_one_gradient_call_per_tile(self, periods):

@@ -1,10 +1,10 @@
 """The block Monte Carlo against the scalar per-trial loop and perfbench's checker.
 
 verify_theorem simulates trials side by side in chunks; scalar_oracle runs
-them one after another. Trade events, per-event profits and bin counts must
-match exactly; means may differ only by summation order, within 1e-12
-relative. perfbench/checks.py recomputes the montecarlo command's output
-with its own numpy code and is imported here unchanged.
+them one after another. Trade events and bin counts must match exactly,
+per-event profits within scan_profits.PROFIT_TOL of the account value, and
+means within 1e-12 relative. perfbench/checks.py recomputes the montecarlo
+command's output with its own numpy code and is imported here unchanged.
 """
 
 import io
@@ -20,6 +20,7 @@ from pairtrade import synthetic
 from pairtrade.cli import main
 from pairtrade.domain import PricePoint
 from pairtrade.synthetic import OUPairSpec, generate_pair, verify_theorem
+from scan_profits import assert_profits_close, events, values
 
 MEAN_RTOL = 1e-12
 
@@ -76,24 +77,27 @@ class TestVerifyTheoremOracle:
         _assert_matches(summary, ref)
         assert summary.bin_counts == ref["bin_counts"]
 
-    def test_event_profits_equal(self, monkeypatch):
-        # every event's profit is the scalar loop's double, in trial order
+    def test_event_profits_close(self, monkeypatch):
+        # every event is the scalar loop's, in trial order, and its profit
+        # within scan_profits.PROFIT_TOL of the account value it was made at
         from pairtrade import kernels
 
-        seen = []
+        seen, at = [], []
         scan = kernels.trade_scan
 
         def recording(*args, **kwargs):
-            dv, sabs = scan(*args, **kwargs)
-            seen.append(dv)
-            return dv, sabs
+            on = scan(*args, **kwargs)
+            dv = kwargs["out"][1]
+            seen.append(events(dv, on))
+            at.append(events(values(dv, args[6]), on))
+            return on
 
         monkeypatch.setattr(synthetic, "CHUNK_TRIALS", 40)
         monkeypatch.setattr(kernels, "trade_scan", recording)
         verify_theorem(SPEC, trials=100, periods=60, leverage=1.5)
         ref = scalar_oracle.verify_theorem(SPEC, 100, 60, leverage=1.5)
         assert len(seen) == 3
-        assert np.array_equal(np.concatenate(seen), ref["dv"])
+        assert_profits_close(np.concatenate(seen), ref["dv"], np.concatenate(at))
 
     def test_no_events(self):
         spec = OUPairSpec(theta=0.3, sigma_s=0.012, sigma_w=0.005, beta_true=2.0, seed=2)

@@ -352,16 +352,18 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("collect_bins", [0, 4])
     def test_memory_is_one_arena(self, monkeypatch, collect_bins):
         # a 4-chunk run's traced peak is its arena of five (periods,
-        # CHUNK_TRIALS) planes, one chunk's per-event arrays (the profits, and
-        # with bins the |spread| and bin index too) and under 1 MiB besides
+        # CHUNK_TRIALS) planes, one chunk's traded mask, with bins one
+        # chunk's per-event arrays (the profits, the |spread| and the bin
+        # index), and under 1 MiB besides. The mask takes a byte per period,
+        # fewer than the 8 per traded period the per-event profits took
         periods = 250
-        events = []
+        masks = []
         scan = kernels.trade_scan
 
         def recording(*args, **kwargs):
-            dv, sabs = scan(*args, **kwargs)
-            events.append(dv.size)
-            return dv, sabs
+            on = scan(*args, **kwargs)
+            masks.append((on.size, int(np.count_nonzero(on))))
+            return on
 
         monkeypatch.setattr(kernels, "trade_scan", recording)
         spec = make_spec(seed=3)
@@ -374,9 +376,11 @@ class TestVerifyTheorem:
         finally:
             tracemalloc.stop()
         arena = 5 * periods * CHUNK_TRIALS * 8
-        per_event = 8 * (3 if collect_bins else 1)
-        assert len(events) == 8 and max(events) > 0
-        assert peak <= arena + per_event * max(events) + 2**20
+        mask = max(size for size, _ in masks)
+        events = max(count for _, count in masks)
+        assert len(masks) == 8 and 0 < mask <= 8 * events
+        per_chunk = 3 * 8 * events if collect_bins else mask
+        assert peak <= arena + per_chunk + 2**20
 
     def test_chunks_share_one_arena(self, monkeypatch):
         # two full chunks and a one-path last chunk all run on contiguous
